@@ -72,14 +72,19 @@ fn run_pagerank(
     let n = engine.num_vertices();
     let graph = engine.graph().clone();
     let p = VertexArray::<f64>::new(n, 0.0);
-    let delta = VertexArray::<f64>::new(n, 1.0 / n as f64);
+    // contrib[v] = delta[v] / degree(v): the normalized delta of Algorithm 2,
+    // line 7, divided once per vertex when delta changes instead of once
+    // per out-edge. A zero-degree vertex holds 0/0 but has no edge to
+    // scatter it along.
+    let contrib =
+        VertexArray::<f64>::from_fn(n, |v| (1.0 / n as f64) / graph.degree(v as VertexId) as f64);
     let ngh_sum = VertexArray::<f64>::new(n, 0.0);
 
     let mut frontier = VertexSubset::full(n);
     let threads = engine.options().compute_workers();
 
     // SCATTER: normalized delta of the source (Algorithm 2, line 7).
-    let scatter = |s: VertexId, _d: VertexId| delta.get(s as usize) / graph.degree(s) as f64;
+    let scatter = |s: VertexId, _d: VertexId| contrib.get(s as usize);
     let cond = |_d: VertexId| true;
 
     for _ in 0..config.max_iters {
@@ -113,10 +118,10 @@ fn run_pagerank(
         // APPLYFILTER (Algorithm 2, lines 20-29).
         frontier = vertex_map(
             &touched,
-            |i: VertexId| {
-                let i = i as usize;
+            |v: VertexId| {
+                let i = v as usize;
                 let nd = ngh_sum.get(i) * config.damping;
-                delta.set(i, nd);
+                contrib.set(i, nd / graph.degree(v) as f64);
                 ngh_sum.set(i, 0.0);
                 if nd.abs() > config.epsilon * p.get(i) {
                     p.set(i, p.get(i) + nd);
@@ -195,6 +200,46 @@ mod tests {
             e.stats().records_combined > 0,
             "an R-MAT graph must combine some hub records"
         );
+    }
+
+    #[test]
+    fn zero_degree_vertices_match_reference() {
+        // Drop the out-edges of every third vertex: those sinks still
+        // receive mass, so APPLYFILTER writes their 0/0-style `contrib`,
+        // which must never reach an edge.
+        let g = rmat(&RmatConfig::new(8));
+        let mut offsets = vec![0u64];
+        let mut neighbors = Vec::new();
+        for v in 0..g.num_vertices() as VertexId {
+            if v % 3 != 0 {
+                neighbors.extend_from_slice(g.neighbors(v));
+            }
+            offsets.push(neighbors.len() as u64);
+        }
+        let g = Csr::from_parts(offsets, neighbors);
+        let t = g.transpose();
+        assert!(
+            (0..g.num_vertices() as VertexId).any(|v| g.degree(v) == 0 && t.degree(v) > 0),
+            "the graph must have sinks that receive mass"
+        );
+        let cfg = PageRankConfig::default();
+        let expect = reference::pagerank_delta(&g, cfg.damping, cfg.epsilon, cfg.max_iters);
+        let e = engine(&g, 2);
+        let cluster = blaze_scaleout::Cluster::build(&g, 2, 1, EngineOptions::default()).unwrap();
+        let runs = [
+            ("binned", pagerank_delta(&e, cfg, ExecMode::Binned).unwrap()),
+            ("sync", pagerank_delta(&e, cfg, ExecMode::Sync).unwrap()),
+            ("combined", pagerank_delta_combined(&e, cfg).unwrap()),
+            (
+                "2-shard",
+                crate::sharded::sharded_pagerank(&cluster, cfg).unwrap(),
+            ),
+        ];
+        for (mode, p) in runs {
+            let p = p.to_vec();
+            assert!(p.iter().all(|x| x.is_finite()), "{mode}: non-finite rank");
+            assert_close(&p, &expect, 1e-6);
+        }
     }
 
     #[test]

@@ -82,13 +82,14 @@ pub fn sharded_pagerank(cluster: &Cluster, config: PageRankConfig) -> Result<Ver
     let n = cluster.num_vertices();
     let degrees = cluster.out_degrees();
     let p = VertexArray::<f64>::new(n, 0.0);
-    let delta = VertexArray::<f64>::new(n, 1.0 / n as f64);
+    // contrib[v] = delta[v] / degree(v), as in the single-engine driver.
+    let contrib = VertexArray::<f64>::from_fn(n, |v| (1.0 / n as f64) / degrees[v] as f64);
     let ngh_sum = VertexArray::<f64>::new(n, 0.0);
     let mut frontier = VertexSubset::full(n);
     let threads = apply_threads(cluster);
 
     // SCATTER: normalized delta of the source (Algorithm 2, line 7).
-    let scatter = |s: VertexId, _d: VertexId| delta.get(s as usize) / degrees[s as usize] as f64;
+    let scatter = |s: VertexId, _d: VertexId| contrib.get(s as usize);
     let cond = |_d: VertexId| true;
 
     for _ in 0..config.max_iters {
@@ -115,7 +116,7 @@ pub fn sharded_pagerank(cluster: &Cluster, config: PageRankConfig) -> Result<Ver
             |i: VertexId| {
                 let i = i as usize;
                 let nd = ngh_sum.get(i) * config.damping;
-                delta.set(i, nd);
+                contrib.set(i, nd / degrees[i] as f64);
                 ngh_sum.set(i, 0.0);
                 if nd.abs() > config.epsilon * p.get(i) {
                     p.set(i, p.get(i) + nd);

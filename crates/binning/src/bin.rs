@@ -14,6 +14,9 @@ struct BinInner<V> {
     /// The other half of the pair, when the bin owns it (i.e. it is not out
     /// with a gather thread or in the full queue).
     spare: Option<Vec<BinRecord<V>>>,
+    /// Scatter threads blocked on `spare_returned`. Counted under this lock,
+    /// so `return_buffer` can skip the notify when nobody waits.
+    waiting: usize,
 }
 
 /// One bin of the online-binning space.
@@ -26,6 +29,11 @@ struct BinInner<V> {
 /// with a gather thread, the appending scatter thread blocks until
 /// [`return_buffer`](Bin::return_buffer) brings it back — the back-pressure
 /// the paper describes.
+///
+/// Back-pressure is the rare case: a returning buffer signals the condvar
+/// only when a scatter thread is actually counted as waiting, so the common
+/// hand-off costs one uncontended lock and no wake-up call (a futex-backed
+/// notify enters the kernel even with no waiter).
 #[derive(Debug)]
 pub struct Bin<V> {
     inner: Mutex<BinInner<V>>,
@@ -45,6 +53,7 @@ impl<V: BinValue> Bin<V> {
             inner: Mutex::new(BinInner {
                 active: Vec::with_capacity(capacity),
                 spare: Some(Vec::with_capacity(capacity)),
+                waiting: 0,
             }),
             spare_returned: Condvar::new(),
             gather_lock: Mutex::new(()),
@@ -78,7 +87,9 @@ impl<V: BinValue> Bin<V> {
                     None if remaining.is_empty() => break,
                     None => {
                         // Both buffers busy: wait for gather to return one.
+                        inner.waiting += 1;
                         self.spare_returned.wait(&mut inner);
+                        inner.waiting -= 1;
                     }
                 }
             }
@@ -108,7 +119,9 @@ impl<V: BinValue> Bin<V> {
         let mut inner = self.inner.lock();
         if inner.spare.is_none() {
             inner.spare = Some(buffer);
-            self.spare_returned.notify_all();
+            if inner.waiting > 0 {
+                self.spare_returned.notify_all();
+            }
         }
         // A third buffer can exist transiently after a drain_partial that
         // had to allocate; it is simply dropped here.

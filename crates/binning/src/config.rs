@@ -4,15 +4,27 @@ use blaze_types::{
     BlazeError, Result, DEFAULT_BIN_COUNT, DEFAULT_BIN_SPACE_RATIO, DEFAULT_STAGING_RECORDS,
 };
 
+/// Record size the bin-count rule sizes buffers for: a `u32` destination
+/// plus an 8-byte payload (PageRank's `f64`, padded), the largest record
+/// the shipped queries bin.
+const SIZING_RECORD_BYTES: usize = 16;
+
+/// Staging batches each bin buffer must hold under the bin-count rule.
+const BATCHES_PER_BUFFER: usize = 2;
+
 /// Parameters of the online-binning machinery.
 ///
-/// The paper finds performance robust across a wide range: ~1000 bins,
-/// total bin space ≈ 5% of the input graph (equivalently ≈ `5·|E|·4` bytes
-/// ÷ 16, see Figure 10), and an equal number of scatter and gather threads
-/// are good defaults, with careful tuning worth at most ~5%.
+/// The paper finds performance robust across a wide range: total bin space
+/// ≈ 5% of the input graph (equivalently ≈ `5·|E|·4` bytes ÷ 16, see
+/// Figure 10), up to 1024 bins, and an equal number of scatter and gather
+/// threads are good defaults, with careful tuning worth at most ~5%. The
+/// default bin count is derived from the space (see
+/// [`for_space`](Self::for_space)), so a small graph gets fewer, larger
+/// bins instead of buffers no bigger than one staging flush.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BinningConfig {
-    /// Number of bins. Records route to `dst % bin_count`.
+    /// Number of bins. Records route to `dst % bin_count` (a mask when the
+    /// count is a power of two).
     pub bin_count: usize,
     /// Total bytes across all bin buffers (both halves of every pair).
     pub bin_space_bytes: usize,
@@ -37,12 +49,25 @@ impl BinningConfig {
     }
 
     /// The paper's default heuristic for a graph of `graph_bytes` on disk:
-    /// bin space = 5% of the graph, 1024 bins.
+    /// bin space = 5% of the graph (at least 64 KiB), with the bin count
+    /// derived from that space by [`for_space`](Self::for_space).
     pub fn for_graph(graph_bytes: u64) -> Self {
         let space = ((graph_bytes as f64 * DEFAULT_BIN_SPACE_RATIO) as usize).max(64 << 10);
+        Self::for_space(space)
+    }
+
+    /// A configuration of `bin_space_bytes` with the derived bin count: the
+    /// largest power of two at which every buffer of every bin pair still
+    /// holds two staging batches of 16-byte records, capped at
+    /// [`DEFAULT_BIN_COUNT`]. Paper-scale graphs keep 1024 bins;
+    /// below that, a buffer never shrinks to one staging flush, which would
+    /// make every flush a hand-off to gather.
+    pub fn for_space(bin_space_bytes: usize) -> Self {
+        let pair_bytes = 2 * BATCHES_PER_BUFFER * DEFAULT_STAGING_RECORDS * SIZING_RECORD_BYTES;
+        let fit = (bin_space_bytes / pair_bytes).clamp(1, DEFAULT_BIN_COUNT);
         Self {
-            bin_count: DEFAULT_BIN_COUNT,
-            bin_space_bytes: space,
+            bin_count: 1 << fit.ilog2(),
+            bin_space_bytes,
             staging_records: DEFAULT_STAGING_RECORDS,
         }
     }
@@ -95,6 +120,42 @@ mod tests {
     fn heuristic_has_floor() {
         let c = BinningConfig::for_graph(1024);
         assert!(c.bin_space_bytes >= 64 << 10);
+    }
+
+    #[test]
+    fn paper_scale_graph_keeps_1024_bins() {
+        // 5% of a 10 GiB graph is far past the 1024-bin point.
+        assert_eq!(BinningConfig::for_graph(10 << 30).bin_count, 1024);
+    }
+
+    #[test]
+    fn small_graph_gets_fewer_bins() {
+        // An 8.3 MB graph: 415 KB of bin space fits 101 pairs of
+        // 2 x 2 x 64 x 16 bytes, rounded down to 64.
+        let c = BinningConfig::for_graph(8_300_000);
+        assert_eq!(c.bin_count, 64);
+    }
+
+    #[test]
+    fn space_floor_gives_16_bins() {
+        let c = BinningConfig::for_graph(1024);
+        assert_eq!(c.bin_space_bytes, 64 << 10);
+        assert_eq!(c.bin_count, 16);
+    }
+
+    #[test]
+    fn derived_count_is_a_power_of_two_with_room_for_two_batches() {
+        let mut graph_bytes = 1u64;
+        while graph_bytes < 1 << 40 {
+            let c = BinningConfig::for_graph(graph_bytes);
+            assert!(c.bin_count.is_power_of_two(), "{graph_bytes}: {c:?}");
+            assert!(c.bin_count <= DEFAULT_BIN_COUNT);
+            assert!(
+                c.buffer_capacity(16) >= 2 * c.staging_records,
+                "{graph_bytes}: {c:?}"
+            );
+            graph_bytes = graph_bytes * 3 / 2 + 1;
+        }
     }
 
     #[test]

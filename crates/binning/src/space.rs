@@ -33,6 +33,9 @@ pub struct BinSpace<V> {
     full_queues: Vec<SegQueue<FullBin<V>>>,
     /// Per-bin record counters for work-trace instrumentation.
     records_per_bin: Vec<CachePadded<AtomicU64>>,
+    /// `bin_count - 1` when the count is a power of two: routing is then a
+    /// mask instead of an integer division on every record.
+    bin_mask: Option<usize>,
     config: BinningConfig,
     record_bytes: usize,
 }
@@ -53,10 +56,15 @@ impl<V: BinValue> BinSpace<V> {
             .map(|_| CachePadded::new(AtomicU64::new(0)))
             .collect();
         let full_queues = (0..gather_queues.max(1)).map(|_| SegQueue::new()).collect();
+        let bin_mask = config
+            .bin_count
+            .is_power_of_two()
+            .then(|| config.bin_count - 1);
         Self {
             bins,
             full_queues,
             records_per_bin,
+            bin_mask,
             config,
             record_bytes,
         }
@@ -80,7 +88,10 @@ impl<V: BinValue> BinSpace<V> {
     /// The bin a destination vertex routes to.
     #[inline]
     pub fn bin_of(&self, dst: VertexId) -> usize {
-        dst as usize % self.bins.len()
+        match self.bin_mask {
+            Some(mask) => dst as usize & mask,
+            None => dst as usize % self.bins.len(),
+        }
     }
 
     /// Appends a batch of records that all route to `bin_id`; full buffers
@@ -221,6 +232,20 @@ mod tests {
         assert_eq!(space.bin_of(0), 0);
         assert_eq!(space.bin_of(5), 1);
         assert_eq!(space.bin_of(7), 3);
+    }
+
+    #[test]
+    fn masked_and_modulo_routing_agree() {
+        for bins in [1, 3, 7, 16, 64, 100, 1024] {
+            let space: BinSpace<u32> = BinSpace::new(config(bins, 4));
+            for dst in (0..5000u32).chain([u32::MAX - 1, u32::MAX]) {
+                assert_eq!(
+                    space.bin_of(dst),
+                    dst as usize % bins,
+                    "{bins} bins, dst {dst}"
+                );
+            }
+        }
     }
 
     #[test]

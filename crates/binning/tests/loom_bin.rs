@@ -205,3 +205,59 @@ fn extra_buffer_from_drain_is_dropped_cleanly() {
         assert_eq!(total, 2, "records lost across drain/return race");
     });
 }
+
+/// A buffer comes back while no scatter thread is waiting (so the return
+/// skips the notify), then the scatter thread blocks on the other buffer.
+/// The next return must still wake it: the waiter count is kept under the
+/// append lock, so no schedule can slip a sleep past a return. A lost
+/// wake-up shows up here as a model deadlock.
+#[test]
+fn late_waiter_is_woken_by_the_next_return() {
+    let report = check_with(cfg(2), || {
+        let bin = Arc::new(Bin::<u32>::new(1));
+        let chan = Arc::new((Mutex::new(Vec::new()), Condvar::new()));
+
+        // Fill the pair: buffer A (record 0) goes out to gather, buffer B
+        // stays active and full (record 1).
+        let mut out = Vec::new();
+        bin.append_batch(&[rec(0), rec(1)], |full| out.push(full));
+        let a = out.pop().expect("first buffer handed off");
+
+        let scatter = {
+            let (bin, chan) = (bin.clone(), chan.clone());
+            thread::spawn(move || {
+                let push = |full| {
+                    chan.0.lock().push(full);
+                    chan.1.notify_all();
+                };
+                // Swaps B out once A is back (waiting if it is not yet).
+                bin.append_batch(&[rec(2)], push);
+                // A is now active and full: blocks until B returns.
+                bin.append_batch(&[rec(3)], push);
+            })
+        };
+
+        let mut gathered: Vec<u32> = a.iter().map(|r| r.value).collect();
+        bin.return_buffer(a);
+        for _ in 0..2 {
+            let full = {
+                let mut q = chan.0.lock();
+                loop {
+                    if let Some(full) = q.pop() {
+                        break full;
+                    }
+                    chan.1.wait(&mut q);
+                }
+            };
+            gathered.extend(full.iter().map(|r| r.value));
+            bin.return_buffer(full);
+        }
+        scatter.join().unwrap();
+
+        let partial = bin.drain_partial().expect("last record pending");
+        gathered.extend(partial.iter().map(|r| r.value));
+        gathered.sort_unstable();
+        assert_eq!(gathered, vec![0, 1, 2, 3], "records lost or duplicated");
+    });
+    assert!(report.executions > 1, "explored only one schedule");
+}

@@ -18,8 +18,9 @@ pub struct CliArgs {
     pub bin_space_mib: usize,
     /// Scatter fraction of compute workers (`-binningRatio`, default 0.5).
     pub binning_ratio: f64,
-    /// Number of bins (`-binCount`, default 1024).
-    pub bin_count: usize,
+    /// Number of bins (`-binCount`; default derived from the bin space, at
+    /// most 1024). An explicit value is always honored.
+    pub bin_count: Option<usize>,
     /// Device profile to simulate (`-device optane|nand|znand|vnand|none`).
     pub device: String,
     /// Maximum PageRank iterations (`-maxIters`, default 100).
@@ -70,7 +71,7 @@ impl Default for CliArgs {
             start_node: 0,
             bin_space_mib: 0,
             binning_ratio: 0.5,
-            bin_count: 1024,
+            bin_count: None,
             device: "optane".to_string(),
             max_iters: 100,
             jobs: 1,
@@ -142,11 +143,12 @@ pub fn parse(args: &[String]) -> Result<CliArgs> {
                     .map_err(|e| BlazeError::Config(format!("-binningRatio: {e}")))?;
             }
             "-binCount" => {
-                out.bin_count = it
-                    .next()
-                    .ok_or_else(|| missing("-binCount"))?
-                    .parse()
-                    .map_err(|e| BlazeError::Config(format!("-binCount: {e}")))?;
+                out.bin_count = Some(
+                    it.next()
+                        .ok_or_else(|| missing("-binCount"))?
+                        .parse()
+                        .map_err(|e| BlazeError::Config(format!("-binCount: {e}")))?,
+                );
             }
             "-maxIters" => {
                 out.max_iters = it
@@ -261,7 +263,7 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(a.bin_space_mib, 256);
-        assert_eq!(a.bin_count, 1024);
+        assert_eq!(a.bin_count, Some(1024));
         assert!((a.binning_ratio - 0.5).abs() < 1e-12);
     }
 

@@ -62,17 +62,15 @@ fn engine_options(args: &CliArgs, storage_bytes: u64) -> Result<EngineOptions> {
             .with_scan_sharing(true)
             .with_scan_share_lanes(args.jobs);
     }
-    if args.bin_space_mib > 0 {
-        options = options.with_binning(BinningConfig::new(
-            args.bin_count,
-            args.bin_space_mib << 20,
-            blaze_types::DEFAULT_STAGING_RECORDS,
-        )?);
-    } else if args.bin_count != blaze_types::DEFAULT_BIN_COUNT {
-        let heuristic = BinningConfig::for_graph(storage_bytes);
-        options = options.with_binning(heuristic.with_bin_count(args.bin_count));
-    }
-    Ok(options)
+    let binning = match (args.bin_space_mib, args.bin_count) {
+        (0, None) => return Ok(options),
+        (0, Some(count)) => BinningConfig::for_graph(storage_bytes).with_bin_count(count),
+        (mib, None) => BinningConfig::for_space(mib << 20),
+        (mib, Some(count)) => {
+            BinningConfig::new(count, mib << 20, blaze_types::DEFAULT_STAGING_RECORDS)?
+        }
+    };
+    Ok(options.with_binning(binning))
 }
 
 /// Builds an engine over one graph direction.
@@ -259,12 +257,32 @@ mod tests {
         let (index, adj) = save_files(&g, dir.path(), "t.gr", 1).unwrap();
         let args = CliArgs {
             bin_space_mib: 2,
-            bin_count: 64,
+            bin_count: Some(64),
             ..Default::default()
         };
         let engine = open_engine(&args, &index, &adj).unwrap();
         assert_eq!(engine.binning().bin_count, 64);
         assert_eq!(engine.binning().bin_space_bytes, 2 << 20);
+    }
+
+    #[test]
+    fn explicit_default_bin_count_is_honored() {
+        // The derived default for this small graph is far below 1024, so
+        // an explicit -binCount 1024 must not be mistaken for "unset".
+        let g = rmat(&RmatConfig::new(6));
+        let dir = tempfile::tempdir().unwrap();
+        let (index, adj) = save_files(&g, dir.path(), "t.gr", 1).unwrap();
+        let derived = open_engine(&CliArgs::default(), &index, &adj).unwrap();
+        assert!(derived.binning().bin_count < 1024);
+        let args = crate::args::parse(&[
+            "-binCount".to_string(),
+            "1024".to_string(),
+            index.display().to_string(),
+            adj[0].display().to_string(),
+        ])
+        .unwrap();
+        let engine = open_engine(&args, &index, &adj).unwrap();
+        assert_eq!(engine.binning().bin_count, 1024);
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub struct BlazeEngine {
 
 impl BlazeEngine {
     /// Creates an engine over `graph`. Binning defaults to the paper's
-    /// heuristics (5% of graph size, 1024 bins) unless overridden. The
+    /// heuristics (5% of graph size, up to 1024 bins) unless overridden. The
     /// persistent worker set (one IO worker per device, plus the scatter
     /// and gather pools) is spawned here and lives until the engine drops.
     pub fn new(graph: Arc<DiskGraph>, options: EngineOptions) -> Result<Self> {

@@ -112,6 +112,13 @@ impl<T: VertexValue> VertexArray<T> {
         }
     }
 
+    /// Creates an array of `n` cells, cell `i` holding `f(i)`.
+    pub fn from_fn(n: usize, mut f: impl FnMut(usize) -> T) -> Self {
+        Self {
+            cells: (0..n).map(|i| T::new_cell(f(i))).collect(),
+        }
+    }
+
     /// Number of vertices covered.
     pub fn len(&self) -> usize {
         self.cells.len()

@@ -111,3 +111,45 @@ fn reader_never_observes_phantom_bits() {
         assert_eq!(bm.iter_ones().collect::<Vec<_>>(), vec![1, 33]);
     });
 }
+
+/// Two claims race a release of ONE bit, starting from both states. The
+/// bit changes only through a winning `set` (0 → 1) or a successful
+/// `unset` (1 → 0), so the final state must equal the initial state plus
+/// wins minus releases, and a claim can only win while the bit is clear.
+/// Starting set puts both claims on the test-before-set path: a claim that
+/// reads the bit set returns `false` without writing, and must still never
+/// double-claim or swallow a release.
+#[test]
+fn test_before_set_claims_once_against_unset() {
+    for start_set in [false, true] {
+        let report = check_with(cfg(2), move || {
+            let bm = Arc::new(AtomicBitmap::new(8));
+            if start_set {
+                assert!(bm.set(5));
+            }
+            let setters: Vec<_> = (0..2)
+                .map(|_| {
+                    let bm = bm.clone();
+                    thread::spawn(move || bm.set(5))
+                })
+                .collect();
+            let releaser = {
+                let bm = bm.clone();
+                thread::spawn(move || bm.unset(5))
+            };
+            let wins = setters
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .filter(|won| *won)
+                .count() as i64;
+            let released = i64::from(releaser.join().unwrap());
+            let final_bits = i64::from(start_set) + wins - released;
+            assert!(
+                (0..=1).contains(&final_bits),
+                "start {start_set}: {wins} claims and {released} releases"
+            );
+            assert_eq!(bm.get(5), final_bits == 1, "claims and releases disagree");
+        });
+        assert!(report.executions > 1, "explored only one schedule");
+    }
+}

@@ -6,12 +6,16 @@
 //! MPMC queue, fill them with up to [`MAX_MERGED_PAGES`] pages, and push them
 //! to the *filled* MPMC queue; scatter threads pop filled buffers and return
 //! them to the free queue when done. Because scatter keeps pace with IO, a
-//! small pool suffices — if it ever drains, IO threads back off, which is
-//! exactly the "fast producer, slow consumer" stall the paper describes for
-//! Graphene (Section III-C).
+//! small pool suffices — if it ever drains, IO threads spin briefly and
+//! then park until scatter releases a buffer, which is exactly the "fast
+//! producer, slow consumer" stall the paper describes for Graphene
+//! (Section III-C). Parking matters when IO outruns scatter for a whole
+//! iteration: spinning IO threads would compete for the cores scatter and
+//! gather need.
 
+use blaze_sync::atomic::{fence, AtomicUsize, Ordering};
 use blaze_sync::queue::{ArrayQueue, SegQueue};
-use blaze_sync::Backoff;
+use blaze_sync::{Backoff, Condvar, Mutex};
 
 use blaze_types::{PageId, MAX_MERGED_PAGES, PAGE_SIZE};
 
@@ -87,6 +91,15 @@ impl FilledBuffer {
 pub struct BufferPool {
     free: ArrayQueue<IoBuffer>,
     filled: SegQueue<FilledBuffer>,
+    /// Threads parked in [`acquire_free`](Self::acquire_free). Raised under
+    /// `park` before the final free-queue check, so `release` only takes the
+    /// lock and notifies when someone may be asleep.
+    parked: AtomicUsize,
+    /// Guards the park/notify handshake; a leaf lock held for a counter
+    /// update and one queue check.
+    park: Mutex<()>,
+    /// Signalled by `release` when `parked` is non-zero.
+    freed: Condvar,
     capacity: usize,
     pages_per_buffer: usize,
 }
@@ -113,6 +126,9 @@ impl BufferPool {
         Self {
             free,
             filled: SegQueue::new(),
+            parked: AtomicUsize::new(0),
+            park: Mutex::new(()),
+            freed: Condvar::new(),
             capacity,
             pages_per_buffer,
         }
@@ -144,22 +160,48 @@ impl BufferPool {
         self.free.pop()
     }
 
-    /// Takes a free buffer, backing off (spin → yield) until one is
-    /// available. IO threads block here when scatter falls behind.
+    /// Takes a free buffer, backing off (spin → yield) while one is likely
+    /// to appear soon, then parking until [`release`](Self::release) brings
+    /// one back. IO threads block here when scatter falls behind.
     pub fn acquire_free(&self) -> IoBuffer {
         let backoff = Backoff::new();
-        loop {
+        while !backoff.is_completed() {
             if let Some(buf) = self.free.pop() {
                 return buf;
             }
             backoff.snooze();
         }
+        let mut park = self.park.lock();
+        // Dekker handshake with `release`: raise the count, then re-check
+        // the queue. Either this check sees the releaser's push, or the
+        // releaser's count check sees this increment and notifies.
+        self.parked.fetch_add(1, Ordering::SeqCst); // sync-audit: Dekker store side; SeqCst RMW + fence order it before the queue re-check below.
+        fence(Ordering::SeqCst); // sync-audit: pairs with the fence in `release`.
+        let buf = loop {
+            if let Some(buf) = self.free.pop() {
+                break buf;
+            }
+            self.freed.wait(&mut park);
+        };
+        self.parked.fetch_sub(1, Ordering::Relaxed); // sync-audit: decrement under `park`; a stale non-zero read only costs a releaser one spare notify.
+        buf
     }
 
-    /// Returns a drained buffer to the free queue (Figure 5, step 7).
+    /// Returns a drained buffer to the free queue (Figure 5, step 7) and
+    /// wakes a parked acquirer, if any.
     pub fn release(&self, buffer: IoBuffer) {
         // The pool created every buffer, so the queue can never overflow.
         let _ = self.free.push(buffer);
+        // sync-audit: Dekker load side; the fence orders the push before the
+        // count read and pairs with the fence in `acquire_free`: a parker
+        // that incremented before it is seen, one after it sees the push.
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::Relaxed) > 0 {
+            // Taking `park` means the parker is inside `wait` (or gone), so
+            // the notify cannot fall between its check and its sleep.
+            let _park = self.park.lock();
+            self.freed.notify_one();
+        }
     }
 
     /// Publishes a filled buffer for scatter threads (step 4).

@@ -9,18 +9,21 @@
 //!   the model terminates (no deadlock) with both requests completed;
 //! * when the device fails, every submitted request still produces exactly
 //!   one completion carrying its buffer — the error path drains rather
-//!   than leaking.
+//!   than leaking;
+//! * an IO thread parked on an empty buffer pool is woken by the next
+//!   `release`, whether scatter returns the buffer or another IO thread's
+//!   error drain does — no schedule loses the wake-up.
 //!
 //! Run with:
 //! `RUSTFLAGS="--cfg loom" cargo test -p blaze-storage --test loom_io --release`
 #![cfg(loom)]
 
 use blaze_storage::{
-    BlockDevice, FaultyDevice, IoBackend, IoBuffer, IoRequest, MemDevice, StripedStorage,
-    ThreadedBackend,
+    BlockDevice, BufferPool, FaultyDevice, IoBackend, IoBuffer, IoRequest, MemDevice,
+    StripedStorage, ThreadedBackend,
 };
 use blaze_sync::model::{check_with, Config};
-use blaze_sync::{thread, Arc};
+use blaze_sync::{thread, Arc, Condvar, Mutex};
 use blaze_types::PAGE_SIZE;
 
 fn cfg(preemption_bound: usize) -> Config {
@@ -128,6 +131,79 @@ fn errors_drain_with_their_buffers() {
         }
         assert_eq!(buffers, 2, "both buffers came back with their errors");
         assert!(backend.try_reap(0).is_none());
+    });
+    assert!(report.executions > 1, "expected multiple interleavings");
+}
+
+/// Test-local blocking channel standing in for the filled-buffer queue, so
+/// the scatter side waits on a condvar instead of spinning under the model.
+type Chan = Arc<(Mutex<Vec<IoBuffer>>, Condvar)>;
+
+fn send(chan: &Chan, buffer: IoBuffer) {
+    chan.0.lock().push(buffer);
+    chan.1.notify_all();
+}
+
+fn recv(chan: &Chan) -> IoBuffer {
+    let mut q = chan.0.lock();
+    loop {
+        if let Some(buffer) = q.pop() {
+            return buffer;
+        }
+        chan.1.wait(&mut q);
+    }
+}
+
+/// A one-buffer pool: the IO thread's second `acquire_free` finds the pool
+/// empty and parks until scatter releases the first buffer. Under the model
+/// `acquire_free` parks at once (no spinning), so every schedule of the
+/// park/notify handshake is explored; a lost wake-up would be a deadlock.
+#[test]
+fn parked_io_thread_is_woken_by_scatter_release() {
+    let report = check_with(cfg(2), || {
+        let pool = Arc::new(BufferPool::new(1));
+        let chan: Chan = Arc::new((Mutex::new(Vec::new()), Condvar::new()));
+        let io = {
+            let (pool, chan) = (pool.clone(), chan.clone());
+            thread::spawn(move || {
+                for _ in 0..2 {
+                    send(&chan, pool.acquire_free());
+                }
+            })
+        };
+        for _ in 0..2 {
+            pool.release(recv(&chan));
+        }
+        io.join().unwrap();
+        assert!(pool.is_intact(), "a buffer went missing");
+    });
+    assert!(report.executions > 1, "expected multiple interleavings");
+}
+
+/// Two IO threads share a one-buffer pool. One hits a device error and
+/// releases its buffer straight back (the pump's error drain); the other
+/// hands its buffer to scatter. Whichever thread parks must be woken by the
+/// other's release, on either path.
+#[test]
+fn parked_io_thread_is_woken_by_error_drain() {
+    let report = check_with(cfg(2), || {
+        let pool = Arc::new(BufferPool::new(1));
+        let chan: Chan = Arc::new((Mutex::new(Vec::new()), Condvar::new()));
+        let failing = {
+            let pool = pool.clone();
+            thread::spawn(move || {
+                let buffer = pool.acquire_free();
+                pool.release(buffer);
+            })
+        };
+        let healthy = {
+            let (pool, chan) = (pool.clone(), chan.clone());
+            thread::spawn(move || send(&chan, pool.acquire_free()))
+        };
+        pool.release(recv(&chan));
+        failing.join().unwrap();
+        healthy.join().unwrap();
+        assert!(pool.is_intact(), "a buffer went missing");
     });
     assert!(report.executions > 1, "expected multiple interleavings");
 }

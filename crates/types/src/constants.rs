@@ -26,7 +26,9 @@ pub const CACHE_LINE: usize = 64;
 pub const DEGREES_PER_LINE: usize = CACHE_LINE / 4;
 
 /// Default number of bins for online binning (Section V-E: "one thousand
-/// bins ... will provide good performance in general").
+/// bins ... will provide good performance in general"). The default
+/// configuration uses this many bins once the bin space is large enough;
+/// smaller spaces get fewer (`BinningConfig::for_space`).
 pub const DEFAULT_BIN_COUNT: usize = 1024;
 
 /// Default ratio of total bin space to input graph size (Section IV-A:
