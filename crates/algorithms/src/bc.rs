@@ -5,20 +5,19 @@
 //! transpose accumulating dependency scores (`delta`). This is why the
 //! artifact's `bc` binary requires the `.tgr` transpose files.
 
-use blaze_core::{vertex_map, BlazeEngine, VertexArray};
+use blaze_core::{EdgeMap, ExecMode, GraphEngine, VertexArray};
 use blaze_frontier::VertexSubset;
 use blaze_types::{Result, VertexId};
 
-use crate::mode::ExecMode;
 use crate::translate::to_original_order;
 
 /// Out-of-core single-source Brandes. `out_engine` runs over the graph,
 /// `in_engine` over its transpose. Returns the dependency scores
 /// `delta[v]` for shortest paths out of `root`; both `root` and the score
 /// indices are original vertex ids regardless of physical layout.
-pub fn bc(
-    out_engine: &BlazeEngine,
-    in_engine: &BlazeEngine,
+pub fn bc<E: GraphEngine>(
+    out_engine: &E,
+    in_engine: &E,
     root: VertexId,
     mode: ExecMode,
 ) -> Result<VertexArray<f64>> {
@@ -35,10 +34,10 @@ pub fn bc(
         in_engine.num_vertices(),
         "transpose must match the graph"
     );
-    let layout = out_engine.graph().layout();
+    let layout = out_engine.layout();
     assert_eq!(
         layout,
-        in_engine.graph().layout(),
+        in_engine.layout(),
         "graph and transpose must share one vertex layout"
     );
     let root = layout.to_physical(root);
@@ -54,6 +53,7 @@ pub fn bc(
             levels.pop();
             break;
         }
+        let current = VertexSubset::from_members(n, current.members());
         let level = levels.len() as i64;
         // SCATTER: path count of the source. COND: only vertices not yet
         // finalized at a shallower level. GATHER: claim depth on first
@@ -64,10 +64,8 @@ pub fn bc(
             dd == -1 || dd == level
         };
         let next = match mode {
-            ExecMode::Binned => out_engine.edge_map(
-                &current.clone_members(n),
-                scatter,
-                |d: VertexId, v: f64| {
+            ExecMode::Binned => {
+                let gather = |d: VertexId, v: f64| {
                     let i = d as usize;
                     if depth.get(i) == -1 {
                         depth.set(i, level);
@@ -78,14 +76,11 @@ pub fn bc(
                     } else {
                         false
                     }
-                },
-                cond,
-                true,
-            )?,
-            ExecMode::Sync => out_engine.edge_map_sync(
-                &current.clone_members(n),
-                scatter,
-                |d: VertexId, v: f64| {
+                };
+                out_engine.edge_map(&current, EdgeMap::new(scatter, gather, cond).with_output())?
+            }
+            ExecMode::Sync => {
+                let gather = |d: VertexId, v: f64| {
                     let i = d as usize;
                     // Claim the depth with CAS, then accumulate atomically.
                     let _ = depth.compare_exchange(i, -1, level);
@@ -95,10 +90,10 @@ pub fn bc(
                     } else {
                         false
                     }
-                },
-                cond,
-                true,
-            )?,
+                };
+                let spec = EdgeMap::new(scatter, gather, cond).sync().with_output();
+                out_engine.edge_map(&current, spec)?
+            }
             ExecMode::Async => unreachable!("rejected at entry"),
         };
         levels.push(next);
@@ -107,82 +102,60 @@ pub fn bc(
     // --- Backward sweep: dependency accumulation over the transpose. ---
     let delta = VertexArray::<f64>::new(n, 0.0);
     let acc = VertexArray::<f64>::new(n, 0.0);
-    let threads = out_engine.options().compute_workers();
     for l in (1..levels.len()).rev() {
         let frontier = &levels[l];
+        let parent_level = (l as i64) - 1;
         // SCATTER (over in-edges): (1 + delta[w]) / sigma[w] of the deeper
         // vertex w. GATHER accumulates into predecessors at level l-1.
         let scatter =
             |w: VertexId, _v: VertexId| (1.0 + delta.get(w as usize)) / sigma.get(w as usize);
-        let cond = |v: VertexId| depth.get(v as usize) == (l as i64) - 1;
+        let cond = |v: VertexId| depth.get(v as usize) == parent_level;
         match mode {
-            ExecMode::Binned => in_engine.edge_map(
-                frontier,
-                scatter,
-                |v: VertexId, contribution: f64| {
-                    if depth.get(v as usize) == (l as i64) - 1 {
+            ExecMode::Binned => {
+                let gather = |v: VertexId, contribution: f64| {
+                    if depth.get(v as usize) == parent_level {
                         acc.set(v as usize, acc.get(v as usize) + contribution);
                         true
                     } else {
                         false
                     }
-                },
-                cond,
-                true,
-            )?,
-            ExecMode::Sync => in_engine.edge_map_sync(
-                frontier,
-                scatter,
-                |v: VertexId, contribution: f64| {
-                    if depth.get(v as usize) == (l as i64) - 1 {
+                };
+                in_engine.edge_map(frontier, EdgeMap::new(scatter, gather, cond).with_output())?
+            }
+            ExecMode::Sync => {
+                let gather = |v: VertexId, contribution: f64| {
+                    if depth.get(v as usize) == parent_level {
                         acc.fetch_add(v as usize, contribution);
                         true
                     } else {
                         false
                     }
-                },
-                cond,
-                true,
-            )?,
+                };
+                let spec = EdgeMap::new(scatter, gather, cond).sync().with_output();
+                in_engine.edge_map(frontier, spec)?
+            }
             ExecMode::Async => unreachable!("rejected at entry"),
         };
         // delta[v] = sigma[v] * acc[v]; reset acc for the next level.
-        let parents = &levels[l - 1];
-        let _ = vertex_map(
-            parents,
-            |v: VertexId| {
-                let i = v as usize;
-                if acc.get(i) != 0.0 {
-                    delta.set(i, delta.get(i) + sigma.get(i) * acc.get(i));
-                    acc.set(i, 0.0);
-                }
-                false
-            },
-            threads,
-        );
+        in_engine.vertex_map(&levels[l - 1], |v: VertexId| {
+            let i = v as usize;
+            if acc.get(i) != 0.0 {
+                delta.set(i, delta.get(i) + sigma.get(i) * acc.get(i));
+                acc.set(i, 0.0);
+            }
+            false
+        });
     }
     // Boundary translation: scores computed in physical order come back
     // indexed by original vertex id (no-op on identity layouts).
     Ok(to_original_order(layout, delta, 0.0))
 }
 
-/// Helper: frontiers are consumed by value in loops; rebuild a frontier
-/// with the same members cheaply.
-trait CloneMembers {
-    fn clone_members(&self, capacity: usize) -> VertexSubset;
-}
-
-impl CloneMembers for VertexSubset {
-    fn clone_members(&self, capacity: usize) -> VertexSubset {
-        VertexSubset::from_members(capacity, self.members())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference;
-    use blaze_core::EngineOptions;
+    use blaze_core::{BlazeEngine, EngineOptions};
     use blaze_graph::gen::{rmat, RmatConfig};
     use blaze_graph::{Csr, DiskGraph, GraphBuilder};
     use blaze_storage::StripedStorage;

@@ -1,10 +1,8 @@
 //! Breadth-First Search — Algorithm 1 of the paper.
 
-use blaze_core::{BlazeEngine, VertexArray};
+use blaze_core::{EdgeMap, ExecMode, GraphEngine, VertexArray};
 use blaze_frontier::VertexSubset;
 use blaze_types::{Result, VertexId};
-
-use crate::mode::ExecMode;
 
 /// Out-of-core BFS from `root`.
 ///
@@ -20,8 +18,8 @@ use crate::mode::ExecMode;
 /// supersteps. Levels derived from the returned parents are bit-identical
 /// to the barriered modes; the parents themselves are one valid BFS tree
 /// (as in any mode, ties go to an arbitrary in-neighbor one level up).
-pub fn bfs(engine: &BlazeEngine, root: VertexId, mode: ExecMode) -> Result<VertexArray<i64>> {
-    let layout = engine.graph().layout();
+pub fn bfs<E: GraphEngine>(engine: &E, root: VertexId, mode: ExecMode) -> Result<VertexArray<i64>> {
+    let layout = engine.layout();
     let root = layout.to_physical(root);
     let n = engine.num_vertices();
     let parent = VertexArray::<i64>::new(n, -1);
@@ -31,8 +29,7 @@ pub fn bfs(engine: &BlazeEngine, root: VertexId, mode: ExecMode) -> Result<Verte
         // Level array drives both the min-relaxation and the priority.
         let level = VertexArray::<i64>::new(n, -1);
         level.set(root as usize, 0);
-        engine.edge_map_async(
-            &[root],
+        let spec = EdgeMap::new(
             // Pack candidate level and source: the gather must accept or
             // reject both atomically with respect to its own re-reads.
             |s: VertexId, _d: VertexId| (((level.get(s as usize) + 1) as u64) << 32) | u64::from(s),
@@ -48,8 +45,10 @@ pub fn bfs(engine: &BlazeEngine, root: VertexId, mode: ExecMode) -> Result<Verte
                 }
             },
             |_d: VertexId| true,
-            |v: VertexId| level.get(v as usize).max(0) as u64,
-        )?;
+        );
+        engine.edge_map_async(&[root], spec, |v: VertexId| {
+            level.get(v as usize).max(0) as u64
+        })?;
         return Ok(finish_bfs(layout, parent, n));
     }
 
@@ -62,30 +61,25 @@ pub fn bfs(engine: &BlazeEngine, root: VertexId, mode: ExecMode) -> Result<Verte
 
     while !frontier.is_empty() {
         frontier = match mode {
-            ExecMode::Binned => engine.edge_map(
-                &frontier,
-                scatter,
-                |d: VertexId, v: VertexId| {
+            ExecMode::Binned => {
+                let gather = |d: VertexId, v: VertexId| {
                     if parent.get(d as usize) == -1 {
                         parent.set(d as usize, v as i64);
                         true
                     } else {
                         false
                     }
-                },
-                cond,
-                true,
-            )?,
-            ExecMode::Sync => engine.edge_map_sync(
-                &frontier,
-                scatter,
-                |d: VertexId, v: VertexId| {
-                    // compare-and-swap claims the vertex exactly once.
+                };
+                engine.edge_map(&frontier, EdgeMap::new(scatter, gather, cond).with_output())?
+            }
+            ExecMode::Sync => {
+                // compare-and-swap claims the vertex exactly once.
+                let gather = |d: VertexId, v: VertexId| {
                     parent.compare_exchange(d as usize, -1, v as i64).is_ok()
-                },
-                cond,
-                true,
-            )?,
+                };
+                let spec = EdgeMap::new(scatter, gather, cond).sync().with_output();
+                engine.edge_map(&frontier, spec)?
+            }
             ExecMode::Async => unreachable!("handled above"),
         };
     }
@@ -116,7 +110,7 @@ fn finish_bfs(
 mod tests {
     use super::*;
     use crate::reference;
-    use blaze_core::EngineOptions;
+    use blaze_core::{BlazeEngine, EngineOptions};
     use blaze_graph::gen::{rmat, uniform, RmatConfig};
     use blaze_graph::{Csr, DiskGraph};
     use blaze_storage::StripedStorage;
@@ -131,31 +125,8 @@ mod tests {
         .unwrap()
     }
 
-    /// A parent array is valid iff every reached vertex's parent is a real
-    /// in-neighbor one BFS level earlier, and the set of reached vertices
-    /// matches the reference levels.
     fn assert_valid_bfs(g: &Csr, root: u32, parent: &VertexArray<i64>) {
-        let levels = reference::bfs_levels(g, root);
-        for v in 0..g.num_vertices() as u32 {
-            let p = parent.get(v as usize);
-            if levels[v as usize] == -1 {
-                assert_eq!(p, -1, "unreachable vertex {v} must stay -1");
-            } else if v == root {
-                assert_eq!(p, root as i64);
-            } else {
-                assert!(p >= 0, "reached vertex {v} needs a parent");
-                let p = p as u32;
-                assert!(
-                    g.neighbors(p).contains(&v),
-                    "parent {p} must have edge to {v}"
-                );
-                assert_eq!(
-                    levels[p as usize] + 1,
-                    levels[v as usize],
-                    "parent of {v} must be one level up"
-                );
-            }
-        }
+        assert_eq!(reference::check_bfs_tree(g, root, &parent.to_vec()), Ok(()));
     }
 
     #[test]

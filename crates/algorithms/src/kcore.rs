@@ -8,11 +8,10 @@
 //! — so the membership flags are bit-identical across all three modes, and
 //! the peel phase is async-capable.
 
-use blaze_core::{BlazeEngine, VertexArray};
+use blaze_core::{BlazeEngine, EdgeMap, ExecMode, GraphEngine, VertexArray};
 use blaze_frontier::{PriorityFrontier, VertexSubset};
 use blaze_types::{Result, VertexId};
 
-use crate::mode::ExecMode;
 use crate::translate::to_original_order;
 
 /// Out-of-core k-core membership. `out_engine` runs over the graph,
@@ -46,26 +45,29 @@ pub fn kcore(
     let full = VertexSubset::full(n);
     for engine in [out_engine, in_engine] {
         match mode {
-            ExecMode::Sync => engine.edge_map_sync(
+            ExecMode::Sync => engine.edge_map(
                 &full,
-                |_s: VertexId, _d: VertexId| 1u64,
-                |d: VertexId, c: u64| {
-                    let _ = deg.fetch_update(d as usize, |cur| Some(cur + c as i64));
-                    false
-                },
-                |_d: VertexId| true,
-                false,
+                EdgeMap::new(
+                    |_s: VertexId, _d: VertexId| 1u64,
+                    |d: VertexId, c: u64| {
+                        let _ = deg.fetch_update(d as usize, |cur| Some(cur + c as i64));
+                        false
+                    },
+                    |_d: VertexId| true,
+                )
+                .sync(),
             )?,
             // Bin exclusivity makes the plain read-modify-write safe.
             ExecMode::Binned | ExecMode::Async => engine.edge_map(
                 &full,
-                |_s: VertexId, _d: VertexId| 1u64,
-                |d: VertexId, c: u64| {
-                    deg.set(d as usize, deg.get(d as usize) + c as i64);
-                    false
-                },
-                |_d: VertexId| true,
-                false,
+                EdgeMap::new(
+                    |_s: VertexId, _d: VertexId| 1u64,
+                    |d: VertexId, c: u64| {
+                        deg.set(d as usize, deg.get(d as usize) + c as i64);
+                        false
+                    },
+                    |_d: VertexId| true,
+                ),
             )?,
         };
     }
@@ -99,8 +101,10 @@ pub fn kcore(
             };
             let mut frontier = VertexSubset::from_members(n, dead0);
             while !frontier.is_empty() {
-                let out = out_engine.edge_map(&frontier, scatter, gather, cond, true)?;
-                let inn = in_engine.edge_map(&frontier, scatter, gather, cond, true)?;
+                let out = out_engine
+                    .edge_map(&frontier, EdgeMap::new(scatter, gather, cond).with_output())?;
+                let inn = in_engine
+                    .edge_map(&frontier, EdgeMap::new(scatter, gather, cond).with_output())?;
                 frontier =
                     VertexSubset::from_members(n, out.members().into_iter().chain(inn.members()));
             }
@@ -119,8 +123,14 @@ pub fn kcore(
             };
             let mut frontier = VertexSubset::from_members(n, dead0);
             while !frontier.is_empty() {
-                let out = out_engine.edge_map_sync(&frontier, scatter, gather, cond, true)?;
-                let inn = in_engine.edge_map_sync(&frontier, scatter, gather, cond, true)?;
+                let out = out_engine.edge_map(
+                    &frontier,
+                    EdgeMap::new(scatter, gather, cond).sync().with_output(),
+                )?;
+                let inn = in_engine.edge_map(
+                    &frontier,
+                    EdgeMap::new(scatter, gather, cond).sync().with_output(),
+                )?;
                 frontier =
                     VertexSubset::from_members(n, out.members().into_iter().chain(inn.members()));
             }
@@ -147,10 +157,20 @@ pub fn kcore(
             };
             while let Some((bucket, batch)) = pf.pop_batch(opts.async_batch_max) {
                 let round = out_engine
-                    .edge_map_async_batch(&batch, bucket, &pf, &scatter, &gather, &cond, &priority)
+                    .edge_map_async_batch(
+                        &batch,
+                        bucket,
+                        &pf,
+                        EdgeMap::new(&scatter, &gather, &cond),
+                        &priority,
+                    )
                     .and_then(|()| {
                         in_engine.edge_map_async_batch(
-                            &batch, bucket, &pf, &scatter, &gather, &cond, &priority,
+                            &batch,
+                            bucket,
+                            &pf,
+                            EdgeMap::new(&scatter, &gather, &cond),
+                            &priority,
                         )
                     });
                 pf.complete_batch();

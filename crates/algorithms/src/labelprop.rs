@@ -7,11 +7,10 @@
 //! fixpoint, which is unique and therefore identical across all three
 //! execution modes and all physical layouts.
 
-use blaze_core::{BlazeEngine, VertexArray};
+use blaze_core::{BlazeEngine, EdgeMap, ExecMode, GraphEngine, VertexArray};
 use blaze_frontier::VertexSubset;
 use blaze_types::{Result, VertexId};
 
-use crate::mode::ExecMode;
 use crate::translate::to_original_order;
 
 /// Out-of-core forward label propagation. Returns per-vertex labels indexed
@@ -37,26 +36,7 @@ pub fn label_propagation(engine: &BlazeEngine, mode: ExecMode) -> Result<VertexA
             // Small labels win the min-fixpoint; spread them first.
             engine.edge_map_async(
                 &seeds,
-                scatter,
-                |d: VertexId, v: u32| {
-                    if v < labels.get(d as usize) {
-                        labels.set(d as usize, v);
-                        true
-                    } else {
-                        false
-                    }
-                },
-                cond,
-                |v: VertexId| {
-                    u64::from(labels.get(v as usize)).saturating_mul(nb) / (n.max(1) as u64)
-                },
-            )?;
-        }
-        ExecMode::Binned => {
-            let mut frontier = VertexSubset::full(n);
-            while !frontier.is_empty() {
-                frontier = engine.edge_map(
-                    &frontier,
+                EdgeMap::new(
                     scatter,
                     |d: VertexId, v: u32| {
                         if v < labels.get(d as usize) {
@@ -67,23 +47,49 @@ pub fn label_propagation(engine: &BlazeEngine, mode: ExecMode) -> Result<VertexA
                         }
                     },
                     cond,
-                    true,
+                ),
+                |v: VertexId| {
+                    u64::from(labels.get(v as usize)).saturating_mul(nb) / (n.max(1) as u64)
+                },
+            )?;
+        }
+        ExecMode::Binned => {
+            let mut frontier = VertexSubset::full(n);
+            while !frontier.is_empty() {
+                frontier = engine.edge_map(
+                    &frontier,
+                    EdgeMap::new(
+                        scatter,
+                        |d: VertexId, v: u32| {
+                            if v < labels.get(d as usize) {
+                                labels.set(d as usize, v);
+                                true
+                            } else {
+                                false
+                            }
+                        },
+                        cond,
+                    )
+                    .with_output(),
                 )?;
             }
         }
         ExecMode::Sync => {
             let mut frontier = VertexSubset::full(n);
             while !frontier.is_empty() {
-                frontier = engine.edge_map_sync(
+                frontier = engine.edge_map(
                     &frontier,
-                    scatter,
-                    |d: VertexId, v: u32| {
-                        labels
-                            .fetch_update(d as usize, |cur| (v < cur).then_some(v))
-                            .is_ok()
-                    },
-                    cond,
-                    true,
+                    EdgeMap::new(
+                        scatter,
+                        |d: VertexId, v: u32| {
+                            labels
+                                .fetch_update(d as usize, |cur| (v < cur).then_some(v))
+                                .is_ok()
+                        },
+                        cond,
+                    )
+                    .sync()
+                    .with_output(),
                 )?;
             }
         }

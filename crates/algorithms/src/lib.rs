@@ -23,11 +23,15 @@
 //! drains a priority frontier instead, converging to the same unique
 //! fixpoint the barriered modes reach.
 //!
-//! The [`sharded`] module re-expresses BFS, PageRank, WCC, and SpMV over a
-//! scale-out [`Cluster`](blaze_scaleout::Cluster): same superstep loops,
-//! but every `EdgeMap` is a concurrent multi-shard round exchanging
-//! frontier deltas. Deterministic outputs (BFS levels, WCC labels, exact
-//! SpMV) are bit-identical to the single-engine run for any shard count.
+//! BFS, PageRank, WCC, SpMV and BC are written once, generic over
+//! [`GraphEngine`](blaze_core::GraphEngine): the same definition runs on a
+//! [`BlazeEngine`](blaze_core::BlazeEngine), on a scale-out
+//! [`Cluster`](blaze_scaleout::Cluster) (every `EdgeMap` a concurrent
+//! multi-shard round exchanging frontier deltas), and on the FlashGraph-like
+//! and Graphene-like baselines. Deterministic outputs (BFS levels, WCC
+//! labels, exact SpMV) are bit-identical across engines and shard counts;
+//! an engine that cannot run the requested mode returns
+//! [`BlazeError::Config`](blaze_types::BlazeError::Config).
 //!
 //! All queries speak *original* vertex ids at the API boundary. Graphs
 //! written with a degree-aware physical layout run internally in physical
@@ -44,10 +48,8 @@ pub mod bc;
 pub mod bfs;
 pub mod kcore;
 pub mod labelprop;
-pub mod mode;
 pub mod pagerank;
 pub mod reference;
-pub mod sharded;
 pub mod spmv;
 pub mod sssp;
 mod translate;
@@ -55,14 +57,25 @@ pub mod wcc;
 
 pub use bc::bc;
 pub use bfs::bfs;
+pub use blaze_core::ExecMode;
 pub use kcore::kcore;
 pub use labelprop::label_propagation;
-pub use mode::ExecMode;
-pub use pagerank::{pagerank_delta, pagerank_delta_combined, PageRankConfig};
-pub use sharded::{sharded_bfs, sharded_pagerank, sharded_spmv, sharded_wcc};
+pub use pagerank::{
+    pagerank_delta, pagerank_delta_combined, pagerank_one_iteration, PageRankConfig,
+};
 pub use spmv::spmv;
 pub use sssp::sssp;
 pub use wcc::wcc;
+
+/// PageRank-delta over a cluster, in binned mode; the same as
+/// [`pagerank_delta`]`(cluster, config, ExecMode::Binned)`. Kept because
+/// the `perfbench` benchmark calls it by this name.
+pub fn sharded_pagerank(
+    cluster: &blaze_scaleout::Cluster,
+    config: PageRankConfig,
+) -> blaze_types::Result<blaze_core::VertexArray<f64>> {
+    pagerank_delta(cluster, config, ExecMode::Binned)
+}
 
 /// Query identifiers used across the bench harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -4,11 +4,10 @@
 //! `epsilon * p[v]`; EDGEMAP propagates normalized deltas and VERTEXMAP
 //! applies the damping factor and filters the next frontier.
 
-use blaze_core::{vertex_map, BlazeEngine, VertexArray};
+use blaze_core::{EdgeMap, ExecMode, GraphEngine, VertexArray};
 use blaze_frontier::VertexSubset;
 use blaze_types::{Result, VertexId};
 
-use crate::mode::ExecMode;
 use crate::translate::to_original_order;
 
 /// PageRank-delta parameters.
@@ -32,9 +31,10 @@ impl Default for PageRankConfig {
     }
 }
 
-/// Out-of-core PageRank-delta. Returns the rank vector `p`.
-pub fn pagerank_delta(
-    engine: &BlazeEngine,
+/// Out-of-core PageRank-delta. Returns the rank vector `p`, indexed by
+/// original vertex id.
+pub fn pagerank_delta<E: GraphEngine>(
+    engine: &E,
     config: PageRankConfig,
     mode: ExecMode,
 ) -> Result<VertexArray<f64>> {
@@ -49,15 +49,15 @@ pub fn pagerank_delta(
 /// the uncombined path up to floating-point summation order (the
 /// `combine_equivalence` property test pins exact agreement on
 /// integer-valued workloads).
-pub fn pagerank_delta_combined(
-    engine: &BlazeEngine,
+pub fn pagerank_delta_combined<E: GraphEngine>(
+    engine: &E,
     config: PageRankConfig,
 ) -> Result<VertexArray<f64>> {
     run_pagerank(engine, config, ExecMode::Binned, true)
 }
 
-fn run_pagerank(
-    engine: &BlazeEngine,
+fn run_pagerank<E: GraphEngine>(
+    engine: &E,
     config: PageRankConfig,
     mode: ExecMode,
     combined: bool,
@@ -70,18 +70,18 @@ fn run_pagerank(
         ));
     }
     let n = engine.num_vertices();
-    let graph = engine.graph().clone();
     let p = VertexArray::<f64>::new(n, 0.0);
     // contrib[v] = delta[v] / degree(v): the normalized delta of Algorithm 2,
     // line 7, divided once per vertex when delta changes instead of once
     // per out-edge. A zero-degree vertex holds 0/0 but has no edge to
-    // scatter it along.
-    let contrib =
-        VertexArray::<f64>::from_fn(n, |v| (1.0 / n as f64) / graph.degree(v as VertexId) as f64);
+    // scatter it along. The degree is the whole graph's, which a cluster
+    // shard's filtered subgraph would under-count.
+    let contrib = VertexArray::<f64>::from_fn(n, |v| {
+        (1.0 / n as f64) / engine.out_degree(v as VertexId) as f64
+    });
     let ngh_sum = VertexArray::<f64>::new(n, 0.0);
 
     let mut frontier = VertexSubset::full(n);
-    let threads = engine.options().compute_workers();
 
     // SCATTER: normalized delta of the source (Algorithm 2, line 7).
     let scatter = |s: VertexId, _d: VertexId| contrib.get(s as usize);
@@ -91,58 +91,74 @@ fn run_pagerank(
         if frontier.is_empty() {
             break;
         }
-        // GATHER accumulates into ngh_sum; `output = true` marks every
-        // vertex that received mass so APPLYFILTER can visit it.
+        // GATHER accumulates into ngh_sum; `output` marks every vertex that
+        // received mass so APPLYFILTER can visit it.
         // Bin exclusivity: plain read-modify-write, no CAS.
         let gather = |d: VertexId, v: f64| {
             ngh_sum.set(d as usize, ngh_sum.get(d as usize) + v);
             true
         };
+        let spec = EdgeMap::new(scatter, gather, cond).with_output();
         let touched = match mode {
             ExecMode::Binned if combined => {
-                engine.edge_map_combined(&frontier, scatter, gather, |a, b| a + b, cond, true)?
+                engine.edge_map(&frontier, spec.combine(|a: f64, b: f64| a + b))?
             }
-            ExecMode::Binned => engine.edge_map(&frontier, scatter, gather, cond, true)?,
-            ExecMode::Sync => engine.edge_map_sync(
-                &frontier,
-                scatter,
-                |d: VertexId, v: f64| {
+            ExecMode::Binned => engine.edge_map(&frontier, spec)?,
+            ExecMode::Sync => {
+                let gather = |d: VertexId, v: f64| {
                     ngh_sum.fetch_add(d as usize, v);
                     true
-                },
-                cond,
-                true,
-            )?,
+                };
+                engine.edge_map(
+                    &frontier,
+                    EdgeMap::new(scatter, gather, cond).sync().with_output(),
+                )?
+            }
             ExecMode::Async => unreachable!("rejected at entry"),
         };
         // APPLYFILTER (Algorithm 2, lines 20-29).
-        frontier = vertex_map(
-            &touched,
-            |v: VertexId| {
-                let i = v as usize;
-                let nd = ngh_sum.get(i) * config.damping;
-                contrib.set(i, nd / graph.degree(v) as f64);
-                ngh_sum.set(i, 0.0);
-                if nd.abs() > config.epsilon * p.get(i) {
-                    p.set(i, p.get(i) + nd);
-                    true
-                } else {
-                    false
-                }
-            },
-            threads,
-        );
+        frontier = engine.vertex_map(&touched, |v: VertexId| {
+            let i = v as usize;
+            let nd = ngh_sum.get(i) * config.damping;
+            contrib.set(i, nd / engine.out_degree(v) as f64);
+            ngh_sum.set(i, 0.0);
+            if nd.abs() > config.epsilon * p.get(i) {
+                p.set(i, p.get(i) + nd);
+                true
+            } else {
+                false
+            }
+        });
     }
     // Boundary translation: ranks computed in physical order come back
     // indexed by original vertex id (no-op on identity layouts).
-    Ok(to_original_order(engine.graph().layout(), p, 0.0))
+    Ok(to_original_order(engine.layout(), p, 0.0))
+}
+
+/// One PageRank iteration over the full frontier: every vertex scatters
+/// `1 / (n · degree)` and the result is each vertex's received mass. The
+/// paper compares against Graphene with "1 PR iteration" because Graphene
+/// lacks selective scheduling for PageRank (Section V-B).
+pub fn pagerank_one_iteration<E: GraphEngine>(engine: &E) -> Result<VertexArray<f64>> {
+    let n = engine.num_vertices();
+    let contribution = VertexArray::<f64>::new(n, 0.0);
+    let spec = EdgeMap::new(
+        |s: VertexId, _d: VertexId| 1.0 / (n as f64 * engine.out_degree(s) as f64),
+        |d: VertexId, v: f64| {
+            contribution.set(d as usize, contribution.get(d as usize) + v);
+            false
+        },
+        |_d: VertexId| true,
+    );
+    engine.edge_map(&VertexSubset::full(n), spec)?;
+    Ok(to_original_order(engine.layout(), contribution, 0.0))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference;
-    use blaze_core::EngineOptions;
+    use blaze_core::{BlazeEngine, EngineOptions};
     use blaze_graph::gen::{rmat, RmatConfig};
     use blaze_graph::{Csr, DiskGraph};
     use blaze_storage::StripedStorage;
@@ -232,7 +248,7 @@ mod tests {
             ("combined", pagerank_delta_combined(&e, cfg).unwrap()),
             (
                 "2-shard",
-                crate::sharded::sharded_pagerank(&cluster, cfg).unwrap(),
+                pagerank_delta(&cluster, cfg, ExecMode::Binned).unwrap(),
             ),
         ];
         for (mode, p) in runs {

@@ -26,6 +26,37 @@ pub fn bfs_levels(g: &Csr, root: VertexId) -> Vec<i64> {
     level
 }
 
+/// Checks that `parents` (as `bfs` returns them) is a BFS tree of `g` from
+/// `root`: the root is its own parent, exactly the vertices reachable from
+/// `root` have a parent, and every other parent is an in-neighbor one
+/// level closer to the root, so the tree's levels equal [`bfs_levels`].
+/// Returns the first violation found.
+pub fn check_bfs_tree(g: &Csr, root: VertexId, parents: &[i64]) -> Result<(), String> {
+    let levels = bfs_levels(g, root);
+    for (v, (&p, &level)) in parents.iter().zip(&levels).enumerate() {
+        let v = v as VertexId;
+        let ok = match (level, p) {
+            (-1, p) => p == -1,
+            (_, p) if v == root => p == i64::from(root),
+            (_, p) if p < 0 => false,
+            (level, p) => {
+                g.neighbors(p as VertexId).contains(&v) && levels[p as usize] + 1 == level
+            }
+        };
+        if !ok {
+            return Err(format!("vertex {v} (level {level}) has parent {p}"));
+        }
+    }
+    if parents.len() != levels.len() {
+        return Err(format!(
+            "{} parents for {} vertices",
+            parents.len(),
+            levels.len()
+        ));
+    }
+    Ok(())
+}
+
 /// Sequential PageRank-delta, mirroring Algorithm 2 exactly (same damping,
 /// same filter, same iteration structure), so the out-of-core result can be
 /// compared bit-for-shape.
@@ -242,6 +273,25 @@ pub fn bc_scores(g: &Csr, root: VertexId) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bfs_tree_check_rejects_wrong_trees() {
+        let mut b = GraphBuilder::new(5);
+        b.extend([(0, 1), (0, 2), (1, 3), (2, 3)]);
+        let g = b.build();
+        assert_eq!(check_bfs_tree(&g, 0, &[0, 0, 0, 1, -1]), Ok(()));
+        assert_eq!(check_bfs_tree(&g, 0, &[0, 0, 0, 2, -1]), Ok(()));
+        for wrong in [
+            [0, 0, 1, 1, -1],  // 1 -> 2 is not an edge
+            [0, 0, 0, 1, 0],   // unreachable vertex with a parent
+            [0, 0, -1, 1, -1], // reachable vertex without one
+            [1, 0, 0, 1, -1],  // root not its own parent
+            [0, 0, 0, 3, -1],  // self-parent off the root
+        ] {
+            assert!(check_bfs_tree(&g, 0, &wrong).is_err(), "{wrong:?}");
+        }
+        assert!(check_bfs_tree(&g, 0, &[0, 0, 0]).is_err(), "short array");
+    }
     use blaze_graph::GraphBuilder;
 
     fn diamond() -> Csr {

@@ -5,18 +5,17 @@
 //! IO-intensive query in the evaluation (every edge page is read exactly
 //! once, every edge produces one bin record).
 
-use blaze_core::{BlazeEngine, VertexArray};
+use blaze_core::{EdgeMap, ExecMode, GraphEngine, VertexArray};
 use blaze_frontier::VertexSubset;
 use blaze_types::{Result, VertexId};
 
-use crate::mode::ExecMode;
 use crate::translate::to_original_order;
 
 /// Out-of-core SpMV: returns `y = Aᵀ·x` (accumulating along out-edges into
 /// destinations). `x` is indexed by original vertex id and so is the
 /// returned `y`; on layouted graphs the vector is permuted into physical
 /// order for the edge map and the result permuted back.
-pub fn spmv(engine: &BlazeEngine, x: &[f64], mode: ExecMode) -> Result<VertexArray<f64>> {
+pub fn spmv<E: GraphEngine>(engine: &E, x: &[f64], mode: ExecMode) -> Result<VertexArray<f64>> {
     if mode == ExecMode::Async {
         // A sum over edges is not a monotone relaxation; every edge must be
         // applied exactly once, which the barrier guarantees.
@@ -26,7 +25,7 @@ pub fn spmv(engine: &BlazeEngine, x: &[f64], mode: ExecMode) -> Result<VertexArr
     }
     let n = engine.num_vertices();
     assert_eq!(x.len(), n, "input vector must have one entry per vertex");
-    let layout = engine.graph().layout();
+    let layout = engine.layout();
     // Boundary translation in: physical slot p reads x[orig(p)].
     let px: std::borrow::Cow<'_, [f64]> = match layout.phys_to_orig() {
         Some(map) => map.iter().map(|&orig| x[orig as usize]).collect(),
@@ -38,26 +37,20 @@ pub fn spmv(engine: &BlazeEngine, x: &[f64], mode: ExecMode) -> Result<VertexArr
     let scatter = |s: VertexId, _d: VertexId| x[s as usize];
     let cond = |_d: VertexId| true;
     match mode {
-        ExecMode::Binned => engine.edge_map(
-            &frontier,
-            scatter,
-            |d: VertexId, v: f64| {
+        ExecMode::Binned => {
+            let gather = |d: VertexId, v: f64| {
                 y.set(d as usize, y.get(d as usize) + v);
                 false
-            },
-            cond,
-            false,
-        )?,
-        ExecMode::Sync => engine.edge_map_sync(
-            &frontier,
-            scatter,
-            |d: VertexId, v: f64| {
+            };
+            engine.edge_map(&frontier, EdgeMap::new(scatter, gather, cond))?
+        }
+        ExecMode::Sync => {
+            let gather = |d: VertexId, v: f64| {
                 y.fetch_add(d as usize, v);
                 false
-            },
-            cond,
-            false,
-        )?,
+            };
+            engine.edge_map(&frontier, EdgeMap::new(scatter, gather, cond).sync())?
+        }
         ExecMode::Async => unreachable!("rejected at entry"),
     };
     // Boundary translation out: y[orig(p)] = y_phys[p].
@@ -68,7 +61,7 @@ pub fn spmv(engine: &BlazeEngine, x: &[f64], mode: ExecMode) -> Result<VertexArr
 mod tests {
     use super::*;
     use crate::reference;
-    use blaze_core::EngineOptions;
+    use blaze_core::{BlazeEngine, EngineOptions};
     use blaze_graph::gen::{rmat, RmatConfig};
     use blaze_graph::{Csr, DiskGraph};
     use blaze_storage::StripedStorage;

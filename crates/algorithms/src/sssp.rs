@@ -8,11 +8,10 @@
 //! by tentative distance, which is delta-stepping in the Blaze runtime —
 //! near-Dijkstra settle order without a priority queue in the hot path.
 
-use blaze_core::{BlazeEngine, VertexArray};
+use blaze_core::{BlazeEngine, EdgeMap, ExecMode, GraphEngine, VertexArray};
 use blaze_frontier::VertexSubset;
 use blaze_types::{Result, VertexId};
 
-use crate::mode::ExecMode;
 use crate::translate::to_original_order;
 
 /// Distance of an unreachable vertex.
@@ -58,26 +57,7 @@ pub fn sssp(engine: &BlazeEngine, root: VertexId, mode: ExecMode) -> Result<Vert
             const DELTA: u64 = 8;
             engine.edge_map_async(
                 &[root],
-                scatter,
-                |d: VertexId, cand: u64| {
-                    if cand < dist.get(d as usize) {
-                        dist.set(d as usize, cand);
-                        true
-                    } else {
-                        false
-                    }
-                },
-                cond,
-                |v: VertexId| dist.get(v as usize) / DELTA,
-            )?;
-        }
-        ExecMode::Binned => {
-            let mut frontier = VertexSubset::single(n, root);
-            while !frontier.is_empty() {
-                // Bellman-Ford supersteps; bin exclusivity makes the plain
-                // read-modify-write min safe.
-                frontier = engine.edge_map(
-                    &frontier,
+                EdgeMap::new(
                     scatter,
                     |d: VertexId, cand: u64| {
                         if cand < dist.get(d as usize) {
@@ -88,22 +68,48 @@ pub fn sssp(engine: &BlazeEngine, root: VertexId, mode: ExecMode) -> Result<Vert
                         }
                     },
                     cond,
-                    true,
+                ),
+                |v: VertexId| dist.get(v as usize) / DELTA,
+            )?;
+        }
+        ExecMode::Binned => {
+            let mut frontier = VertexSubset::single(n, root);
+            while !frontier.is_empty() {
+                // Bellman-Ford supersteps; bin exclusivity makes the plain
+                // read-modify-write min safe.
+                frontier = engine.edge_map(
+                    &frontier,
+                    EdgeMap::new(
+                        scatter,
+                        |d: VertexId, cand: u64| {
+                            if cand < dist.get(d as usize) {
+                                dist.set(d as usize, cand);
+                                true
+                            } else {
+                                false
+                            }
+                        },
+                        cond,
+                    )
+                    .with_output(),
                 )?;
             }
         }
         ExecMode::Sync => {
             let mut frontier = VertexSubset::single(n, root);
             while !frontier.is_empty() {
-                frontier = engine.edge_map_sync(
+                frontier = engine.edge_map(
                     &frontier,
-                    scatter,
-                    |d: VertexId, cand: u64| {
-                        dist.fetch_update(d as usize, |cur| (cand < cur).then_some(cand))
-                            .is_ok()
-                    },
-                    cond,
-                    true,
+                    EdgeMap::new(
+                        scatter,
+                        |d: VertexId, cand: u64| {
+                            dist.fetch_update(d as usize, |cur| (cand < cur).then_some(cand))
+                                .is_ok()
+                        },
+                        cond,
+                    )
+                    .sync()
+                    .with_output(),
                 )?;
             }
         }

@@ -2,21 +2,21 @@
 //! propagation with shortcutting (pointer jumping), run over both the CSR
 //! and its transpose so labels flow along the undirected view.
 
-use blaze_sync::Arc;
-
-use blaze_core::{vertex_map, BlazeEngine, VertexArray};
+use blaze_core::{EdgeMap, ExecMode, GraphEngine, VertexArray};
 use blaze_frontier::{PriorityFrontier, VertexSubset};
 use blaze_types::{Result, VertexId};
-
-use crate::mode::ExecMode;
 
 /// Out-of-core WCC. `out_engine` runs over the graph, `in_engine` over its
 /// transpose (the `.tgr` files of the artifact). Returns per-vertex labels:
 /// the minimum *original* vertex id of each weakly connected component,
 /// independent of the physical layout the graph was written with.
-pub fn wcc(
-    out_engine: &BlazeEngine,
-    in_engine: &BlazeEngine,
+///
+/// Both engines must share one vertex layout; their edge partitioning may
+/// differ (a transpose cluster has its own in-degree distribution), which
+/// is harmless because every round's frontier is global.
+pub fn wcc<E: GraphEngine>(
+    out_engine: &E,
+    in_engine: &E,
     mode: ExecMode,
 ) -> Result<VertexArray<u32>> {
     let n = out_engine.num_vertices();
@@ -26,28 +26,19 @@ pub fn wcc(
         "transpose must match the graph"
     );
     assert_eq!(
-        out_engine.graph().layout(),
-        in_engine.graph().layout(),
+        out_engine.layout(),
+        in_engine.layout(),
         "graph and transpose must share one vertex layout"
     );
-    let ids = Arc::new(VertexArray::<u32>::new(n, 0));
-    let prev_ids = VertexArray::<u32>::new(n, 0);
-    for v in 0..n {
-        ids.set(v, v as u32);
-        prev_ids.set(v, v as u32);
-    }
+    let ids = VertexArray::<u32>::from_fn(n, |v| v as u32);
 
     if mode == ExecMode::Async {
         run_async(out_engine, in_engine, &ids, n)?;
-        // panic-audit: run_async's closures borrow the Arc clone only for
-        // the duration of the call; by here this is the sole owner.
-        let ids = Arc::try_unwrap(ids).expect("async path holds the only Arc");
-        return Ok(canonicalize_labels(out_engine.graph().layout(), ids));
+        return Ok(canonicalize_labels(out_engine.layout(), ids));
     }
 
+    let prev_ids = VertexArray::<u32>::from_fn(n, |v| v as u32);
     let mut frontier = VertexSubset::full(n);
-    let threads = out_engine.options().compute_workers();
-
     while !frontier.is_empty() {
         // Propagate along out-edges, then in-edges (Algorithm 3 lines 36-37).
         let touched_out = run_direction(out_engine, &frontier, &ids, mode)?;
@@ -60,33 +51,21 @@ pub fn wcc(
                 .chain(touched_in.members()),
         );
         // APPLYFILTER: shortcut (pointer jump) and keep only changed ids.
-        frontier = vertex_map(
-            &candidates,
-            |i: VertexId| {
-                let i = i as usize;
-                let id = ids.get(ids.get(i) as usize);
-                if ids.get(i) != id {
-                    ids.set(i, id);
-                }
-                if prev_ids.get(i) != ids.get(i) {
-                    prev_ids.set(i, ids.get(i));
-                    true
-                } else {
-                    false
-                }
-            },
-            threads,
-        );
+        frontier = out_engine.vertex_map(&candidates, |i: VertexId| {
+            let i = i as usize;
+            let id = ids.get(ids.get(i) as usize);
+            if ids.get(i) != id {
+                ids.set(i, id);
+            }
+            if prev_ids.get(i) != ids.get(i) {
+                prev_ids.set(i, ids.get(i));
+                true
+            } else {
+                false
+            }
+        });
     }
-    let ids = Arc::try_unwrap(ids).unwrap_or_else(|arc| {
-        // Another Arc alive would be a bug; copy out defensively.
-        let copy = VertexArray::<u32>::new(arc.len(), 0);
-        for i in 0..arc.len() {
-            copy.set(i, arc.get(i));
-        }
-        copy
-    });
-    Ok(canonicalize_labels(out_engine.graph().layout(), ids))
+    Ok(canonicalize_labels(out_engine.layout(), ids))
 }
 
 /// Barrier-free WCC: every vertex seeds one shared priority frontier
@@ -97,37 +76,36 @@ pub fn wcc(
 /// quiescence of the frontier *is* the fixpoint, and min-label relaxation
 /// is order-independent, so the converged labels — the minimum physical id
 /// per component — are bit-identical to the barriered modes'.
-fn run_async(
-    out_engine: &BlazeEngine,
-    in_engine: &BlazeEngine,
-    ids: &Arc<VertexArray<u32>>,
+fn run_async<E: GraphEngine>(
+    out_engine: &E,
+    in_engine: &E,
+    ids: &VertexArray<u32>,
     n: usize,
 ) -> Result<()> {
-    let opts = out_engine.options();
-    let nb = opts.async_buckets as u64;
-    let pf = PriorityFrontier::new(n, opts.async_buckets);
+    let (buckets, batch_max) = out_engine.async_batching()?;
+    let nb = buckets as u64;
+    let pf = PriorityFrontier::new(n, buckets);
     let priority =
         |v: VertexId| u64::from(ids.get(v as usize)).saturating_mul(nb) / (n.max(1) as u64);
     for v in 0..n as u32 {
         pf.push(v, priority(v));
     }
-    let scatter = |s: VertexId, _d: VertexId| ids.get(s as usize);
-    let gather = |d: VertexId, v: u32| {
-        if v < ids.get(d as usize) {
-            ids.set(d as usize, v);
-            true
-        } else {
-            false
-        }
-    };
-    let cond = |_d: VertexId| true;
-    while let Some((bucket, batch)) = pf.pop_batch(opts.async_batch_max) {
+    let spec = EdgeMap::new(
+        |s: VertexId, _d: VertexId| ids.get(s as usize),
+        |d: VertexId, v: u32| {
+            if v < ids.get(d as usize) {
+                ids.set(d as usize, v);
+                true
+            } else {
+                false
+            }
+        },
+        |_d: VertexId| true,
+    );
+    while let Some((bucket, batch)) = pf.pop_batch(batch_max) {
         let round = out_engine
-            .edge_map_async_batch(&batch, bucket, &pf, &scatter, &gather, &cond, &priority)
-            .and_then(|()| {
-                in_engine
-                    .edge_map_async_batch(&batch, bucket, &pf, &scatter, &gather, &cond, &priority)
-            });
+            .edge_map_async_batch(&batch, bucket, &pf, spec, &priority)
+            .and_then(|()| in_engine.edge_map_async_batch(&batch, bucket, &pf, spec, &priority));
         pf.complete_batch();
         round?;
     }
@@ -141,8 +119,7 @@ fn run_async(
 /// component is relabeled to the minimum *original* id of its members and
 /// the array re-indexed to original order, matching the unreordered run
 /// exactly. Identity layouts skip the pass: physical == original there.
-/// Shared with the sharded driver, which converges to the same fixpoint.
-pub(crate) fn canonicalize_labels(
+fn canonicalize_labels(
     layout: &blaze_graph::VertexPermutation,
     ids: VertexArray<u32>,
 ) -> VertexArray<u32> {
@@ -167,42 +144,36 @@ pub(crate) fn canonicalize_labels(
 /// One EDGEMAP over one direction: scatter the source's label, gather the
 /// minimum into the destination, activating destinations whose label
 /// shrank.
-fn run_direction(
-    engine: &BlazeEngine,
+fn run_direction<E: GraphEngine>(
+    engine: &E,
     frontier: &VertexSubset,
-    ids: &Arc<VertexArray<u32>>,
+    ids: &VertexArray<u32>,
     mode: ExecMode,
 ) -> Result<VertexSubset> {
-    let scatter = {
-        let ids = ids.clone();
-        move |s: VertexId, _d: VertexId| ids.get(s as usize)
-    };
+    let scatter = |s: VertexId, _d: VertexId| ids.get(s as usize);
     let cond = |_d: VertexId| true;
     match mode {
-        ExecMode::Binned => engine.edge_map(
-            frontier,
-            scatter,
-            |d: VertexId, v: u32| {
+        ExecMode::Binned => {
+            let gather = |d: VertexId, v: u32| {
                 if v < ids.get(d as usize) {
                     ids.set(d as usize, v);
                     true
                 } else {
                     false
                 }
-            },
-            cond,
-            true,
-        ),
-        ExecMode::Sync => engine.edge_map_sync(
-            frontier,
-            scatter,
-            |d: VertexId, v: u32| {
+            };
+            engine.edge_map(frontier, EdgeMap::new(scatter, gather, cond).with_output())
+        }
+        ExecMode::Sync => {
+            let gather = |d: VertexId, v: u32| {
                 ids.fetch_update(d as usize, |cur| (v < cur).then_some(v))
                     .is_ok()
-            },
-            cond,
-            true,
-        ),
+            };
+            engine.edge_map(
+                frontier,
+                EdgeMap::new(scatter, gather, cond).sync().with_output(),
+            )
+        }
         ExecMode::Async => unreachable!("async WCC runs through run_async"),
     }
 }
@@ -211,10 +182,11 @@ fn run_direction(
 mod tests {
     use super::*;
     use crate::reference;
-    use blaze_core::EngineOptions;
+    use blaze_core::{BlazeEngine, EngineOptions};
     use blaze_graph::gen::{rmat, uniform, RmatConfig};
     use blaze_graph::{Csr, DiskGraph, GraphBuilder};
     use blaze_storage::StripedStorage;
+    use blaze_sync::Arc;
 
     fn engines(g: &Csr, devices: usize) -> (BlazeEngine, BlazeEngine) {
         let t = g.transpose();

@@ -1,5 +1,5 @@
 //! Property tests pinning scatter-side combining to the uncombined
-//! semantics: for associative operators, `edge_map_combined` must produce
+//! semantics: for associative operators, an `EdgeMap` with `combine` must produce
 //! results *identical* to the uncombined binned path, the sync (CAS) path,
 //! and an in-memory reference — on both R-MAT-like random graphs and
 //! super-vertex graphs where nearly every edge targets one hub (the
@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 use blaze_algorithms::reference;
 use blaze_algorithms::{pagerank_delta, pagerank_delta_combined, ExecMode, PageRankConfig};
-use blaze_core::{BlazeEngine, EngineOptions, VertexArray};
+use blaze_core::{BlazeEngine, EdgeMap, EngineOptions, GraphEngine, VertexArray};
 use blaze_frontier::VertexSubset;
 use blaze_graph::{Csr, DiskGraph, GraphBuilder};
 use blaze_storage::StripedStorage;
@@ -80,21 +80,26 @@ fn spmv_all_paths(g: &Csr, x: &[f64]) -> [Vec<f64>; 4] {
         };
         match path {
             0 => e
-                .edge_map_combined(&frontier, scatter, gather, |a, b| a + b, |_| true, false)
+                .edge_map(
+                    &frontier,
+                    EdgeMap::new(scatter, gather, |_| true).combine(|a, b| a + b),
+                )
                 .unwrap(),
             1 => e
-                .edge_map(&frontier, scatter, gather, |_| true, false)
+                .edge_map(&frontier, EdgeMap::new(scatter, gather, |_| true))
                 .unwrap(),
             _ => e
-                .edge_map_sync(
+                .edge_map(
                     &frontier,
-                    scatter,
-                    |d: VertexId, v: f64| {
-                        y.fetch_add(d as usize, v);
-                        false
-                    },
-                    |_| true,
-                    false,
+                    EdgeMap::new(
+                        scatter,
+                        |d: VertexId, v: f64| {
+                            y.fetch_add(d as usize, v);
+                            false
+                        },
+                        |_| true,
+                    )
+                    .sync(),
                 )
                 .unwrap(),
         };
@@ -134,28 +139,32 @@ fn wcc_labels_via(e: &BlazeEngine, path: usize) -> Vec<u32> {
         };
         frontier = match path {
             0 => e
-                .edge_map_combined(
+                .edge_map(
                     &frontier,
-                    scatter,
-                    gather,
-                    |a: u32, b: u32| a.min(b),
-                    |_| true,
-                    true,
+                    EdgeMap::new(scatter, gather, |_| true)
+                        .combine(|a: u32, b: u32| a.min(b))
+                        .with_output(),
                 )
                 .unwrap(),
             1 => e
-                .edge_map(&frontier, scatter, gather, |_| true, true)
+                .edge_map(
+                    &frontier,
+                    EdgeMap::new(scatter, gather, |_| true).with_output(),
+                )
                 .unwrap(),
             _ => e
-                .edge_map_sync(
+                .edge_map(
                     &frontier,
-                    scatter,
-                    |d: VertexId, v: u32| {
-                        ids.fetch_update(d as usize, |cur| (v < cur).then_some(v))
-                            .is_ok()
-                    },
-                    |_| true,
-                    true,
+                    EdgeMap::new(
+                        scatter,
+                        |d: VertexId, v: u32| {
+                            ids.fetch_update(d as usize, |cur| (v < cur).then_some(v))
+                                .is_ok()
+                        },
+                        |_| true,
+                    )
+                    .sync()
+                    .with_output(),
                 )
                 .unwrap(),
         };
@@ -186,27 +195,30 @@ fn bfs_levels_via(e: &BlazeEngine, root: u32, path: usize) -> Vec<i64> {
         };
         frontier = match path {
             0 => e
-                .edge_map_combined(
+                .edge_map(
                     &frontier,
-                    scatter,
-                    gather,
-                    |a: u32, b: u32| a.min(b),
-                    cond,
-                    true,
+                    EdgeMap::new(scatter, gather, cond)
+                        .combine(|a: u32, b: u32| a.min(b))
+                        .with_output(),
                 )
                 .unwrap(),
-            1 => e.edge_map(&frontier, scatter, gather, cond, true).unwrap(),
+            1 => e
+                .edge_map(&frontier, EdgeMap::new(scatter, gather, cond).with_output())
+                .unwrap(),
             _ => e
-                .edge_map_sync(
+                .edge_map(
                     &frontier,
-                    scatter,
-                    |dst: u32, v: u32| {
-                        level
-                            .fetch_update(dst as usize, |cur| (cur == -1).then_some(v as i64))
-                            .is_ok()
-                    },
-                    cond,
-                    true,
+                    EdgeMap::new(
+                        scatter,
+                        |dst: u32, v: u32| {
+                            level
+                                .fetch_update(dst as usize, |cur| (cur == -1).then_some(v as i64))
+                                .is_ok()
+                        },
+                        cond,
+                    )
+                    .sync()
+                    .with_output(),
                 )
                 .unwrap(),
         };

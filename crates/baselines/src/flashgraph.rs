@@ -5,14 +5,16 @@
 
 use blaze_sync::Arc;
 
-use blaze_core::PageCache;
+use blaze_binning::BinValue;
+use blaze_core::edge_map::unsupported_mode;
+use blaze_core::{EdgeMap, EdgeMapMode, GraphEngine, PageCache};
 use blaze_sync::Mutex;
 
 use blaze_frontier::VertexSubset;
-use blaze_graph::DiskGraph;
+use blaze_graph::{DiskGraph, VertexPermutation};
 use blaze_types::{IterationTrace, Result, VertexId, PAGE_SIZE};
 
-use crate::common::OocEngine;
+use crate::serial_vertex_map;
 use crate::stats_util::{fill_io_trace, snapshot_devices};
 
 /// FlashGraph configuration.
@@ -86,25 +88,44 @@ impl FlashGraphEngine {
     }
 }
 
-impl OocEngine for FlashGraphEngine {
+impl GraphEngine for FlashGraphEngine {
     fn num_vertices(&self) -> usize {
         self.graph.num_vertices()
     }
 
-    fn edge_map<V, FS, FG, FC>(
+    fn layout(&self) -> &VertexPermutation {
+        self.graph.layout()
+    }
+
+    fn out_degree(&self, v: VertexId) -> u32 {
+        self.graph.degree(v)
+    }
+
+    fn vertex_map<F>(&self, frontier: &VertexSubset, f: F) -> VertexSubset
+    where
+        F: Fn(VertexId) -> bool + Sync,
+    {
+        serial_vertex_map(&self.traces, frontier, f)
+    }
+
+    /// Runs binned and sync specs alike: messages are applied by one
+    /// thread, so either kind of `gather` is safe. `combine` is ignored —
+    /// FlashGraph has no scatter-side staging.
+    fn edge_map<V, FS, FG, FC, FM>(
         &self,
         frontier: &VertexSubset,
-        scatter: FS,
-        gather: FG,
-        cond: FC,
-        output: bool,
+        spec: EdgeMap<'_, FS, FG, FC, FM>,
     ) -> Result<VertexSubset>
     where
-        V: Copy + Send + Sync + 'static,
+        V: BinValue,
         FS: Fn(VertexId, VertexId) -> V + Sync,
         FG: Fn(VertexId, V) -> bool + Sync,
         FC: Fn(VertexId) -> bool + Sync,
+        FM: Fn(V, V) -> V + Sync,
     {
+        if let EdgeMapMode::Async { .. } = spec.mode {
+            return Err(unsupported_mode("the FlashGraph engine", &spec.mode));
+        }
         let storage = self.graph.storage();
         let before = snapshot_devices(storage);
         let threads = self.options.num_threads;
@@ -134,8 +155,8 @@ impl OocEngine for FlashGraphEngine {
                     }
                     for &dst in dsts {
                         trace.edges_processed += 1;
-                        if cond(dst) {
-                            let value = scatter(src, dst);
+                        if (spec.cond)(dst) {
+                            let value = (spec.scatter)(src, dst);
                             queues[dst as usize % threads].push((dst, value));
                         }
                     }
@@ -150,7 +171,7 @@ impl OocEngine for FlashGraphEngine {
         trace.records_produced = trace.messages_per_thread.iter().sum();
         for queue in &queues {
             for &(dst, value) in queue {
-                if gather(dst, value) && output {
+                if (spec.gather)(dst, value) && spec.output {
                     out.insert(dst);
                 }
             }
@@ -162,12 +183,6 @@ impl OocEngine for FlashGraphEngine {
         let mut out = out;
         out.seal();
         Ok(out)
-    }
-
-    fn note_vertex_map(&self, size: u64) {
-        if let Some(last) = self.traces.lock().last_mut() {
-            last.vertex_map_size += size;
-        }
     }
 }
 
@@ -198,13 +213,14 @@ mod tests {
         let count = blaze_sync::atomic::AtomicU64::new(0);
         e.edge_map(
             &frontier,
-            |_s, _d| (),
-            |_d, _v| {
-                count.fetch_add(1, blaze_sync::atomic::Ordering::Relaxed);
-                false
-            },
-            |_| true,
-            false,
+            EdgeMap::new(
+                |_s, _d| (),
+                |_d, _v| {
+                    count.fetch_add(1, blaze_sync::atomic::Ordering::Relaxed);
+                    false
+                },
+                |_| true,
+            ),
         )
         .unwrap();
         assert_eq!(
@@ -222,8 +238,11 @@ mod tests {
         let g = rmat(&RmatConfig::new(10));
         let e = engine(&g, 16);
         let frontier = VertexSubset::full(g.num_vertices());
-        e.edge_map(&frontier, |_s, _d| (), |_d, _v| false, |_| true, false)
-            .unwrap();
+        e.edge_map(
+            &frontier,
+            EdgeMap::new(|_s, _d| (), |_d, _v| false, |_| true),
+        )
+        .unwrap();
         let t = e.take_traces().pop().unwrap();
         assert!(
             t.message_skew() > 1.5,
@@ -238,8 +257,11 @@ mod tests {
         let e = engine(&g, 1 << 16); // cache larger than the graph
         let frontier = VertexSubset::full(g.num_vertices());
         for _ in 0..2 {
-            e.edge_map(&frontier, |_s, _d| (), |_d, _v| false, |_| true, false)
-                .unwrap();
+            e.edge_map(
+                &frontier,
+                EdgeMap::new(|_s, _d| (), |_d, _v| false, |_| true),
+            )
+            .unwrap();
         }
         let traces = e.take_traces();
         assert_eq!(traces[0].cache_hit_pages, 0);
@@ -254,8 +276,11 @@ mod tests {
         let e = engine(&g, 4);
         let frontier = VertexSubset::full(g.num_vertices());
         for _ in 0..2 {
-            e.edge_map(&frontier, |_s, _d| (), |_d, _v| false, |_| true, false)
-                .unwrap();
+            e.edge_map(
+                &frontier,
+                EdgeMap::new(|_s, _d| (), |_d, _v| false, |_| true),
+            )
+            .unwrap();
         }
         let traces = e.take_traces();
         let pages = traces[0].total_io_bytes() / PAGE_SIZE as u64;

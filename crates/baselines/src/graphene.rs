@@ -13,13 +13,16 @@ use blaze_sync::Arc;
 
 use blaze_sync::Mutex;
 
+use blaze_binning::BinValue;
+use blaze_core::edge_map::unsupported_mode;
+use blaze_core::{EdgeMap, EdgeMapMode, GraphEngine};
 use blaze_frontier::VertexSubset;
-use blaze_graph::Csr;
+use blaze_graph::{Csr, VertexPermutation};
 use blaze_storage::request::merge_pages_with_window;
 use blaze_storage::{BlockDevice, MemDevice};
 use blaze_types::{BlazeError, IterationTrace, Result, VertexId, EDGES_PER_PAGE, PAGE_SIZE};
 
-use crate::common::OocEngine;
+use crate::serial_vertex_map;
 use crate::stats_util::fill_io_trace;
 
 /// Graphene configuration.
@@ -72,6 +75,10 @@ impl Partition {
 /// The Graphene-like baseline engine.
 pub struct GrapheneEngine {
     num_vertices: usize,
+    /// Always the identity: Graphene partitions the graph as given.
+    layout: VertexPermutation,
+    /// Out-degree per vertex over the whole edge grid.
+    out_degrees: Vec<u32>,
     partitions: Vec<Partition>,
     devices: Vec<Arc<MemDevice>>,
     options: GrapheneOptions,
@@ -167,6 +174,8 @@ impl GrapheneEngine {
         }
         Ok(Self {
             num_vertices: n,
+            layout: VertexPermutation::identity(n),
+            out_degrees: (0..n as VertexId).map(|v| g.degree(v)).collect(),
             partitions,
             devices,
             options,
@@ -199,25 +208,45 @@ impl GrapheneEngine {
     }
 }
 
-impl OocEngine for GrapheneEngine {
+impl GraphEngine for GrapheneEngine {
     fn num_vertices(&self) -> usize {
         self.num_vertices
     }
 
-    fn edge_map<V, FS, FG, FC>(
+    fn layout(&self) -> &VertexPermutation {
+        &self.layout
+    }
+
+    fn out_degree(&self, v: VertexId) -> u32 {
+        self.out_degrees[v as usize]
+    }
+
+    fn vertex_map<F>(&self, frontier: &VertexSubset, f: F) -> VertexSubset
+    where
+        F: Fn(VertexId) -> bool + Sync,
+    {
+        serial_vertex_map(&self.traces, frontier, f)
+    }
+
+    /// Runs binned and sync specs alike: one thread applies every record,
+    /// so either kind of `gather` is safe (and each record is counted as
+    /// one atomic operation, as Graphene performs it). `combine` is
+    /// ignored — Graphene has no scatter-side staging.
+    fn edge_map<V, FS, FG, FC, FM>(
         &self,
         frontier: &VertexSubset,
-        scatter: FS,
-        gather: FG,
-        cond: FC,
-        output: bool,
+        spec: EdgeMap<'_, FS, FG, FC, FM>,
     ) -> Result<VertexSubset>
     where
-        V: Copy + Send + Sync + 'static,
+        V: BinValue,
         FS: Fn(VertexId, VertexId) -> V + Sync,
         FG: Fn(VertexId, V) -> bool + Sync,
         FC: Fn(VertexId) -> bool + Sync,
+        FM: Fn(V, V) -> V + Sync,
     {
+        if let EdgeMapMode::Async { .. } = spec.mode {
+            return Err(unsupported_mode("the Graphene engine", &spec.mode));
+        }
         let before: Vec<_> = self.devices.iter().map(|d| d.stats().snapshot()).collect();
         let mut trace = IterationTrace::new(self.devices.len());
         trace.frontier_size = frontier.len() as u64;
@@ -285,11 +314,11 @@ impl OocEngine for GrapheneEngine {
                         bytes[slot + 3],
                     ]);
                     trace.edges_processed += 1;
-                    if cond(dst) {
-                        let value = scatter(v, dst);
+                    if (spec.cond)(dst) {
+                        let value = (spec.scatter)(v, dst);
                         trace.records_produced += 1;
                         trace.atomic_ops += 1;
-                        if gather(dst, value) && output {
+                        if (spec.gather)(dst, value) && spec.output {
                             out.insert(dst);
                         }
                     }
@@ -303,12 +332,6 @@ impl OocEngine for GrapheneEngine {
         let mut out = out;
         out.seal();
         Ok(out)
-    }
-
-    fn note_vertex_map(&self, size: u64) {
-        if let Some(last) = self.traces.lock().last_mut() {
-            last.vertex_map_size += size;
-        }
     }
 }
 
@@ -360,13 +383,14 @@ mod tests {
         let count = blaze_sync::atomic::AtomicU64::new(0);
         e.edge_map(
             &frontier,
-            |_s, _d| (),
-            |_d, _v| {
-                count.fetch_add(1, blaze_sync::atomic::Ordering::Relaxed);
-                false
-            },
-            |_| true,
-            false,
+            EdgeMap::new(
+                |_s, _d| (),
+                |_d, _v| {
+                    count.fetch_add(1, blaze_sync::atomic::Ordering::Relaxed);
+                    false
+                },
+                |_| true,
+            ),
         )
         .unwrap();
         assert_eq!(
@@ -395,13 +419,14 @@ mod tests {
         let sum = blaze_sync::atomic::AtomicU64::new(0);
         e.edge_map(
             &frontier,
-            |_s, d| d,
-            |_d, v: u32| {
-                sum.fetch_add(v as u64, blaze_sync::atomic::Ordering::Relaxed);
-                false
-            },
-            |_| true,
-            false,
+            EdgeMap::new(
+                |_s, d| d,
+                |_d, v: u32| {
+                    sum.fetch_add(v as u64, blaze_sync::atomic::Ordering::Relaxed);
+                    false
+                },
+                |_| true,
+            ),
         )
         .unwrap();
         let expected: u64 = g.edges().map(|(_, d)| d as u64).sum();
@@ -413,11 +438,11 @@ mod tests {
         let g = rmat(&RmatConfig::new(9));
         let e = GrapheneEngine::new(&g, GrapheneOptions::default()).unwrap();
         let full = VertexSubset::full(g.num_vertices());
-        e.edge_map(&full, |_s, _d| (), |_d, _v| false, |_| true, false)
+        e.edge_map(&full, EdgeMap::new(|_s, _d| (), |_d, _v| false, |_| true))
             .unwrap();
         let full_bytes = e.take_traces().pop().unwrap().total_io_bytes();
         let sparse = VertexSubset::from_members(g.num_vertices(), [0u32, 7, 19]);
-        e.edge_map(&sparse, |_s, _d| (), |_d, _v| false, |_| true, false)
+        e.edge_map(&sparse, EdgeMap::new(|_s, _d| (), |_d, _v| false, |_| true))
             .unwrap();
         let sparse_bytes = e.take_traces().pop().unwrap().total_io_bytes();
         assert!(

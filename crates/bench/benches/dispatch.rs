@@ -17,7 +17,7 @@
 use blaze_bench::report::{print_table, write_csv};
 use blaze_binning::{BinSpace, BinningConfig};
 use blaze_core::runtime::{PipelineJob, Runtime};
-use blaze_core::{BlazeEngine, EngineOptions, VertexArray};
+use blaze_core::{BlazeEngine, EdgeMap, EngineOptions, GraphEngine, VertexArray};
 use blaze_frontier::VertexSubset;
 use blaze_graph::gen::{rmat, with_path_tail, RmatConfig};
 use blaze_graph::DiskGraph;
@@ -143,17 +143,19 @@ fn bench_bfs(rows: &mut Vec<Vec<String>>) {
             frontier = engine
                 .edge_map(
                     &frontier,
-                    |src, _dst| src,
-                    |dst, v| {
-                        if parent.get(dst as usize) == -1 {
-                            parent.set(dst as usize, v as i64);
-                            true
-                        } else {
-                            false
-                        }
-                    },
-                    |dst| parent.get(dst as usize) == -1,
-                    true,
+                    EdgeMap::new(
+                        |src, _dst| src,
+                        |dst, v| {
+                            if parent.get(dst as usize) == -1 {
+                                parent.set(dst as usize, v as i64);
+                                true
+                            } else {
+                                false
+                            }
+                        },
+                        |dst| parent.get(dst as usize) == -1,
+                    )
+                    .with_output(),
                 )
                 .unwrap();
             iterations += 1;

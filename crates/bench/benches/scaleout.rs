@@ -13,7 +13,7 @@
 //! shrinks as shards grow — the column to watch for the paper's
 //! near-linear IO scaling claim.
 
-use blaze_algorithms::{sharded_bfs, sharded_pagerank, sharded_wcc, PageRankConfig};
+use blaze_algorithms::{bfs, pagerank_delta, wcc, ExecMode, PageRankConfig};
 use blaze_bench::datasets::{prepare, scale_from_env};
 use blaze_bench::report::{print_table, write_csv};
 use blaze_core::EngineOptions;
@@ -73,14 +73,14 @@ fn main() {
             let cluster = build(&g.csr, shards);
             match algo {
                 "BFS" => {
-                    sharded_bfs(&cluster, root).unwrap();
+                    bfs(&cluster, root, ExecMode::Binned).unwrap();
                 }
                 "PR" => {
-                    sharded_pagerank(&cluster, PageRankConfig::default()).unwrap();
+                    pagerank_delta(&cluster, PageRankConfig::default(), ExecMode::Binned).unwrap();
                 }
                 "WCC" => {
                     let in_cluster = build(&transpose, shards);
-                    sharded_wcc(&cluster, &in_cluster).unwrap();
+                    wcc(&cluster, &in_cluster, ExecMode::Binned).unwrap();
                     // The transpose direction's rounds run in lockstep with
                     // the out direction; fold its compute leg in too.
                     let stats = cluster.stats();

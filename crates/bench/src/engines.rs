@@ -4,10 +4,8 @@
 use blaze_sync::Arc;
 
 use blaze_algorithms::{self as algo, ExecMode, Query};
-use blaze_baselines::{
-    queries as base_queries, FlashGraphEngine, FlashGraphOptions, GrapheneEngine, GrapheneOptions,
-};
-use blaze_core::{BlazeEngine, EngineOptions};
+use blaze_baselines::{FlashGraphEngine, FlashGraphOptions, GrapheneEngine, GrapheneOptions};
+use blaze_core::{BlazeEngine, EngineOptions, GraphEngine};
 use blaze_graph::{Csr, DiskGraph};
 use blaze_storage::StripedStorage;
 use blaze_types::{IterationTrace, VertexId};
@@ -58,6 +56,57 @@ pub fn traversal_root(g: &Csr) -> VertexId {
         .unwrap_or(0)
 }
 
+/// Runs `query` on engines built by `build` (the transpose engine too, for
+/// WCC and BC) and returns the per-iteration traces `traces` collects, in
+/// execution order.
+fn run_query<E: GraphEngine>(
+    query: Query,
+    g: &PreparedGraph,
+    mode: ExecMode,
+    opts: &BenchQueryOptions,
+    build: impl Fn(&Csr) -> E,
+    traces: impl Fn(&E) -> Vec<IterationTrace>,
+) -> Vec<IterationTrace> {
+    let engine = build(&g.csr);
+    match query {
+        Query::Bfs => {
+            algo::bfs(&engine, traversal_root(&g.csr), mode).expect("bfs");
+        }
+        Query::PageRank => {
+            let cfg = algo::PageRankConfig {
+                epsilon: opts.pr_epsilon,
+                max_iters: opts.pr_max_iters,
+                ..Default::default()
+            };
+            algo::pagerank_delta(&engine, cfg, mode).expect("pagerank");
+        }
+        Query::SpMV => {
+            let x: Vec<f64> = (0..g.csr.num_vertices())
+                .map(|i| 1.0 / (i + 1) as f64)
+                .collect();
+            algo::spmv(&engine, &x, mode).expect("spmv");
+        }
+        Query::Wcc => {
+            let in_engine = build(&g.transpose);
+            algo::wcc(&engine, &in_engine, mode).expect("wcc");
+            // Interleave out/in traces in execution order (one per EdgeMap).
+            return traces(&engine)
+                .into_iter()
+                .zip(traces(&in_engine))
+                .flat_map(|(x, y)| [x, y])
+                .collect();
+        }
+        Query::Bc => {
+            let in_engine = build(&g.transpose);
+            algo::bc(&engine, &in_engine, traversal_root(&g.csr), mode).expect("bc");
+            let mut out = traces(&engine);
+            out.extend(traces(&in_engine));
+            return out;
+        }
+    }
+    traces(&engine)
+}
+
 fn blaze_engine(csr: &Csr, opts: &BenchQueryOptions) -> BlazeEngine {
     let storage = Arc::new(StripedStorage::in_memory(opts.blaze_devices).expect("storage"));
     let graph = Arc::new(DiskGraph::create(csr, storage).expect("disk graph"));
@@ -73,49 +122,14 @@ pub fn run_blaze_query(
     mode: ExecMode,
     opts: &BenchQueryOptions,
 ) -> Vec<IterationTrace> {
-    let engine = blaze_engine(&g.csr, opts);
-    match query {
-        Query::Bfs => {
-            algo::bfs(&engine, traversal_root(&g.csr), mode).expect("bfs");
-            engine.take_traces()
-        }
-        Query::PageRank => {
-            let cfg = algo::PageRankConfig {
-                epsilon: opts.pr_epsilon,
-                max_iters: opts.pr_max_iters,
-                ..Default::default()
-            };
-            algo::pagerank_delta(&engine, cfg, mode).expect("pagerank");
-            engine.take_traces()
-        }
-        Query::SpMV => {
-            let x: Vec<f64> = (0..g.csr.num_vertices())
-                .map(|i| 1.0 / (i + 1) as f64)
-                .collect();
-            algo::spmv(&engine, &x, mode).expect("spmv");
-            engine.take_traces()
-        }
-        Query::Wcc => {
-            let in_engine = blaze_engine(&g.transpose, opts);
-            algo::wcc(&engine, &in_engine, mode).expect("wcc");
-            let mut traces = Vec::new();
-            // Interleave out/in traces in execution order (one per EdgeMap).
-            let a = engine.take_traces();
-            let b = in_engine.take_traces();
-            for (x, y) in a.into_iter().zip(b) {
-                traces.push(x);
-                traces.push(y);
-            }
-            traces
-        }
-        Query::Bc => {
-            let in_engine = blaze_engine(&g.transpose, opts);
-            algo::bc(&engine, &in_engine, traversal_root(&g.csr), mode).expect("bc");
-            let mut traces = engine.take_traces();
-            traces.extend(in_engine.take_traces());
-            traces
-        }
-    }
+    run_query(
+        query,
+        g,
+        mode,
+        opts,
+        |csr| blaze_engine(csr, opts),
+        BlazeEngine::take_traces,
+    )
 }
 
 fn flashgraph_engine(csr: &Csr, opts: &BenchQueryOptions) -> FlashGraphEngine {
@@ -141,51 +155,14 @@ pub fn run_flashgraph_query(
     g: &PreparedGraph,
     opts: &BenchQueryOptions,
 ) -> Vec<IterationTrace> {
-    let engine = flashgraph_engine(&g.csr, opts);
-    let degree = |v: VertexId| g.csr.degree(v);
-    match query {
-        Query::Bfs => {
-            base_queries::bfs(&engine, traversal_root(&g.csr)).expect("bfs");
-            engine.take_traces()
-        }
-        Query::PageRank => {
-            base_queries::pagerank_delta(
-                &engine,
-                &degree,
-                0.85,
-                opts.pr_epsilon,
-                opts.pr_max_iters,
-            )
-            .expect("pagerank");
-            engine.take_traces()
-        }
-        Query::SpMV => {
-            let x: Vec<f64> = (0..g.csr.num_vertices())
-                .map(|i| 1.0 / (i + 1) as f64)
-                .collect();
-            base_queries::spmv(&engine, &x).expect("spmv");
-            engine.take_traces()
-        }
-        Query::Wcc => {
-            let in_engine = flashgraph_engine(&g.transpose, opts);
-            base_queries::wcc(&engine, &in_engine).expect("wcc");
-            let mut traces = Vec::new();
-            let a = engine.take_traces();
-            let b = in_engine.take_traces();
-            for (x, y) in a.into_iter().zip(b) {
-                traces.push(x);
-                traces.push(y);
-            }
-            traces
-        }
-        Query::Bc => {
-            let in_engine = flashgraph_engine(&g.transpose, opts);
-            base_queries::bc(&engine, &in_engine, traversal_root(&g.csr)).expect("bc");
-            let mut traces = engine.take_traces();
-            traces.extend(in_engine.take_traces());
-            traces
-        }
-    }
+    run_query(
+        query,
+        g,
+        ExecMode::Binned,
+        opts,
+        |csr| flashgraph_engine(csr, opts),
+        FlashGraphEngine::take_traces,
+    )
 }
 
 /// Runs `query` on the Graphene-like engine. Returns `None` for BC
@@ -201,36 +178,21 @@ pub fn run_graphene_query(
         num_disks: opts.graphene_disks,
         ..Default::default()
     };
-    let engine = GrapheneEngine::new(&g.csr, graphene_opts.clone()).expect("graphene");
-    let degree = |v: VertexId| g.csr.degree(v);
+    let build = |csr: &Csr| GrapheneEngine::new(csr, graphene_opts.clone()).expect("graphene");
     match query {
-        Query::Bfs => {
-            base_queries::bfs(&engine, traversal_root(&g.csr)).expect("bfs");
-            Some(engine.take_traces())
-        }
-        Query::PageRank => {
-            base_queries::pagerank_one_iteration(&engine, &degree).expect("pagerank");
-            Some(engine.take_traces())
-        }
-        Query::SpMV => {
-            let x: Vec<f64> = (0..g.csr.num_vertices())
-                .map(|i| 1.0 / (i + 1) as f64)
-                .collect();
-            base_queries::spmv(&engine, &x).expect("spmv");
-            Some(engine.take_traces())
-        }
-        Query::Wcc => {
-            let in_engine = GrapheneEngine::new(&g.transpose, graphene_opts).expect("graphene");
-            base_queries::wcc(&engine, &in_engine).expect("wcc");
-            let mut traces = Vec::new();
-            let a = engine.take_traces();
-            let b = in_engine.take_traces();
-            for (x, y) in a.into_iter().zip(b) {
-                traces.push(x);
-                traces.push(y);
-            }
-            Some(traces)
-        }
         Query::Bc => None,
+        Query::PageRank => {
+            let engine = build(&g.csr);
+            algo::pagerank_one_iteration(&engine).expect("pagerank");
+            Some(engine.take_traces())
+        }
+        _ => Some(run_query(
+            query,
+            g,
+            ExecMode::Binned,
+            opts,
+            build,
+            GrapheneEngine::take_traces,
+        )),
     }
 }

@@ -19,76 +19,59 @@
 //! per-iteration barrier and drains a priority frontier bucketed by BFS
 //! level.
 //!
-//! `-shards N` (default 1) runs the graph as a concurrent
+//! `-shards N` (default 1) runs the same query over a concurrent
 //! destination-partitioned cluster of N engines exchanging frontier
-//! deltas; the summary's `shards:` line reports per-shard device bytes
-//! and the measured exchange traffic.
+//! deltas (binned mode only); the summary's `shards:` line reports
+//! per-shard device bytes and the measured exchange traffic.
 
 use std::thread;
+use std::time::{Duration, Instant};
+
+use blaze_cli::{or_exit, CliArgs};
+use blaze_core::{GraphEngine, VertexArray};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match blaze_cli::parse(&args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("bfs: {e}");
-            std::process::exit(2);
-        }
-    };
-    if cli.shards > 1 {
-        let cluster = blaze_cli::open_cluster(&cli, &cli.index, &cli.adj).unwrap_or_else(|e| {
-            eprintln!("bfs: {e}");
-            std::process::exit(1);
-        });
-        let t0 = std::time::Instant::now();
-        let levels = blaze_algorithms::sharded_bfs(&cluster, cli.start_node).unwrap_or_else(|e| {
-            eprintln!("bfs: {e}");
-            std::process::exit(1);
-        });
-        let wall = t0.elapsed();
-        let reached = (0..cluster.num_vertices())
-            .filter(|&v| levels.get(v) != -1)
-            .count();
+    let cli = blaze_cli::parse_or_exit("bfs");
+    let parent = if cli.shards > 1 {
+        let cluster = or_exit("bfs", blaze_cli::open_cluster(&cli, &cli.index, &cli.adj));
+        let (parent, wall) = run(&cli, &cluster);
         blaze_cli::print_cluster_summary("bfs", &cluster, wall);
-        println!("reached {reached} vertices from root {}", cli.start_node);
-        return;
-    }
-    let engine = match blaze_cli::open_engine(&cli, &cli.index, &cli.adj) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("bfs: {e}");
-            std::process::exit(1);
-        }
+        parent
+    } else {
+        let engine = or_exit("bfs", blaze_cli::open_engine(&cli, &cli.index, &cli.adj));
+        let (parent, wall) = run(&cli, &engine);
+        blaze_cli::print_run_summary("bfs", &engine, wall);
+        parent
     };
-    let t0 = std::time::Instant::now();
-    let parents: Vec<_> = thread::scope(|s| {
-        let handles: Vec<_> = (0..cli.jobs)
-            .map(|_| {
-                let engine = &engine;
-                s.spawn(move || blaze_algorithms::bfs(engine, cli.start_node, cli.mode))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("bfs job panicked"))
-            .collect()
-    });
-    let wall = t0.elapsed();
-    let parent = parents
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()
-        .unwrap_or_else(|e| {
-            eprintln!("bfs: {e}");
-            std::process::exit(1);
-        })
-        .pop()
-        .expect("-jobs guarantees at least one run");
-    let reached = (0..engine.num_vertices())
-        .filter(|&v| parent.get(v) != -1)
-        .count();
-    blaze_cli::print_run_summary("bfs", &engine, wall);
     if cli.jobs > 1 {
         println!("{} concurrent jobs over one engine", cli.jobs);
     }
+    let reached = (0..parent.len()).filter(|&v| parent.get(v) != -1).count();
     println!("reached {reached} vertices from root {}", cli.start_node);
+}
+
+/// Runs `-jobs` concurrent BFS queries over `engine`; returns one job's
+/// parents and the wall time of the whole fan-out. A failed or panicked
+/// job ends the process with status 1.
+fn run<E: GraphEngine>(cli: &CliArgs, engine: &E) -> (VertexArray<i64>, Duration) {
+    let t0 = Instant::now();
+    let mut parents: Vec<VertexArray<i64>> = thread::scope(|s| {
+        let handles: Vec<_> = (0..cli.jobs)
+            .map(|_| s.spawn(|| blaze_algorithms::bfs(engine, cli.start_node, cli.mode)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| match h.join() {
+                Ok(result) => or_exit("bfs", result),
+                Err(_) => {
+                    eprintln!("bfs: job panicked");
+                    std::process::exit(1);
+                }
+            })
+            .collect()
+    });
+    let wall = t0.elapsed();
+    // panic-audit: `-jobs` is at least 1, so the fan-out ran one job.
+    let parent = parents.pop().expect("-jobs guarantees at least one run");
+    (parent, wall)
 }

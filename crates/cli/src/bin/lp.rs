@@ -2,27 +2,13 @@
 //! to the minimum original id among itself and its directed ancestors.
 //! `-mode binned|sync|async` picks the execution mode.
 
+use blaze_cli::or_exit;
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match blaze_cli::parse(&args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("lp: {e}");
-            std::process::exit(2);
-        }
-    };
-    let engine = match blaze_cli::open_engine(&cli, &cli.index, &cli.adj) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("lp: {e}");
-            std::process::exit(1);
-        }
-    };
+    let cli = blaze_cli::parse_or_exit("lp");
+    let engine = or_exit("lp", blaze_cli::open_engine(&cli, &cli.index, &cli.adj));
     let t0 = std::time::Instant::now();
-    let labels = blaze_algorithms::label_propagation(&engine, cli.mode).unwrap_or_else(|e| {
-        eprintln!("lp: {e}");
-        std::process::exit(1);
-    });
+    let labels = or_exit("lp", blaze_algorithms::label_propagation(&engine, cli.mode));
     let wall = t0.elapsed();
     blaze_cli::print_run_summary("lp", &engine, wall);
     let mut distinct: Vec<u32> = (0..labels.len()).map(|v| labels.get(v)).collect();

@@ -8,32 +8,21 @@
 //! delta-stepping-flavoured configuration — the priority frontier buckets
 //! vertices by tentative distance so near vertices settle first.
 
+use blaze_cli::or_exit;
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match blaze_cli::parse(&args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("sssp: {e}");
-            std::process::exit(2);
-        }
-    };
-    let engine = match blaze_cli::open_engine(&cli, &cli.index, &cli.adj) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("sssp: {e}");
-            std::process::exit(1);
-        }
-    };
+    let cli = blaze_cli::parse_or_exit("sssp");
+    let engine = or_exit("sssp", blaze_cli::open_engine(&cli, &cli.index, &cli.adj));
     let t0 = std::time::Instant::now();
-    let dist = blaze_algorithms::sssp(&engine, cli.start_node, cli.mode).unwrap_or_else(|e| {
-        eprintln!("sssp: {e}");
-        std::process::exit(1);
-    });
+    let dist = or_exit(
+        "sssp",
+        blaze_algorithms::sssp(&engine, cli.start_node, cli.mode),
+    );
     let wall = t0.elapsed();
     blaze_cli::print_run_summary("sssp", &engine, wall);
     let mut reached = 0usize;
     let mut max_dist = 0u64;
-    for v in 0..engine.num_vertices() {
+    for v in 0..dist.len() {
         let d = dist.get(v);
         if d != blaze_algorithms::sssp::UNREACHED {
             reached += 1;

@@ -17,5 +17,7 @@ pub mod run;
 pub mod toolargs;
 
 pub use args::{parse, CliArgs};
-pub use run::{open_cluster, open_engine, print_cluster_summary, print_run_summary};
+pub use run::{
+    open_cluster, open_engine, or_exit, parse_or_exit, print_cluster_summary, print_run_summary,
+};
 pub use toolargs::{parse_tool_args, try_parse_tool_args, write_graph_pair, FlagOnce, ToolArgs};

@@ -4,13 +4,31 @@ use blaze_sync::Arc;
 use std::path::{Path, PathBuf};
 
 use blaze_binning::BinningConfig;
-use blaze_core::{BlazeEngine, EngineOptions};
+use blaze_core::{BlazeEngine, EngineOptions, GraphEngine};
 use blaze_graph::{DiskGraph, GraphBuilder};
 use blaze_scaleout::Cluster;
 use blaze_storage::{BlockDevice, DeviceProfile, FileDevice, SimDevice, StripedStorage};
 use blaze_types::{BlazeError, Result};
 
 use crate::args::CliArgs;
+
+/// Parses the process arguments, or prints `<tool>: <error>` and exits
+/// with status 2 (a usage error).
+pub fn parse_or_exit(tool: &str) -> CliArgs {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    crate::args::parse(&args).unwrap_or_else(|e| {
+        eprintln!("{tool}: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// Unwraps `result`, or prints `<tool>: <error>` and exits with status 1.
+pub fn or_exit<T>(tool: &str, result: Result<T>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{tool}: {e}");
+        std::process::exit(1);
+    })
+}
 
 /// Resolves the `-device` flag to a simulation profile (`none` disables
 /// the device model and runs on raw files).
@@ -322,6 +340,7 @@ mod tests {
 
     #[test]
     fn stats_carry_per_stage_compute_timings() {
+        use blaze_core::EdgeMap;
         use blaze_frontier::VertexSubset;
         let g = rmat(&RmatConfig::new(8));
         let dir = tempfile::tempdir().unwrap();
@@ -329,7 +348,10 @@ mod tests {
         let engine = open_engine(&CliArgs::default(), &index, &adj).unwrap();
         let frontier = VertexSubset::full(engine.num_vertices());
         engine
-            .edge_map(&frontier, |s, _d| s, |_d, _v: u32| false, |_| true, false)
+            .edge_map(
+                &frontier,
+                EdgeMap::new(|s, _d| s, |_d, _v: u32| false, |_| true),
+            )
             .unwrap();
         let stats = engine.stats();
         assert!(stats.scatter_ns > 0, "scatter time must be recorded");

@@ -546,3 +546,23 @@ fn convert_text_edge_list_then_query() {
     assert!(ok, "bfs on converted graph failed: {text}");
     assert!(text.contains("reached 4 vertices"), "{text}");
 }
+
+/// A corrupt adjacency page (every byte `0xFF`, so every decoded neighbor
+/// id is out of range) makes the BFS job panic. The binary reports the
+/// failed job and exits 1 instead of unwinding out of `main` (status 101).
+#[test]
+fn bfs_on_a_corrupt_page_fails_with_a_diagnostic() {
+    let dir = tempfile::tempdir().unwrap();
+    let (index, adj0, adj1, _) = gen_graph(dir.path());
+    let mut bytes = std::fs::read(&adj0).unwrap();
+    assert!(bytes.len() >= 2 * 4096, "stripe 0 holds at least two pages");
+    bytes[4096..2 * 4096].fill(0xFF);
+    std::fs::write(&adj0, bytes).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_bfs"))
+        .args(["-startNode", "0", &index, &adj0, &adj1])
+        .output()
+        .expect("spawn binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("bfs: job panicked"), "{stderr}");
+}

@@ -18,8 +18,8 @@ use blaze_sync::Backoff;
 use blaze_sync::Mutex;
 
 use blaze_binning::{BinSpace, BinValue, BinningConfig, ScatterStaging};
-use blaze_frontier::{PageSubset, PriorityFrontier, PrioritySnapshot, VertexSubset};
-use blaze_graph::DiskGraph;
+use blaze_frontier::{PageSubset, VertexSubset};
+use blaze_graph::{DiskGraph, VertexPermutation};
 use blaze_storage::buffer::{FilledBuffer, IoBuffer};
 use blaze_storage::request::merge_pages_with_window;
 use blaze_storage::{
@@ -29,9 +29,11 @@ use blaze_storage::{
 use blaze_types::{BlazeError, IterationTrace, LocalPageId, Result, VertexId, PAGE_SIZE};
 
 use crate::arena::EngineArena;
+use crate::edge_map::{EdgeMap, EdgeMapMode, GraphEngine};
 use crate::options::EngineOptions;
 use crate::runtime::{PipelineJob, Runtime};
 use crate::stats::{fill_io_trace_from_job, ExecStats};
+use crate::vertex_map::vertex_map_with_grain;
 
 /// Increments a counter when dropped — even if the owning worker panics in
 /// user code, so peers waiting on the counter cannot spin forever.
@@ -173,11 +175,6 @@ impl BlazeEngine {
         &self.runtime
     }
 
-    /// Number of vertices of the underlying graph.
-    pub fn num_vertices(&self) -> usize {
-        self.graph.num_vertices()
-    }
-
     /// Takes the recorded per-iteration work traces (and clears them).
     pub fn take_traces(&self) -> Vec<IterationTrace> {
         std::mem::take(&mut self.traces.lock())
@@ -221,237 +218,38 @@ impl BlazeEngine {
         PageSubset::merge(parts, num_devices)
     }
 
-    /// Out-of-core `EdgeMap` with online binning.
-    ///
-    /// Runs `scatter(src, dst) -> value` for every edge `(src, dst)` with
-    /// `src` in `frontier` and `cond(dst)` true; gather threads then apply
-    /// `gather(dst, value) -> activate` to accumulate values into vertex
-    /// data. When `output` is true, destinations for which `gather` returns
-    /// `true` form the returned frontier.
-    ///
-    /// `gather` may update [`VertexArray`](crate::VertexArray)s with plain
-    /// `get`/`set` — bin exclusivity guarantees a destination vertex is
-    /// only touched by one gather thread at a time.
+    /// Runs one `EdgeMap` job (the body of [`GraphEngine::edge_map`]).
     ///
     /// The call is a *job submission*: it may be issued from any number of
     /// threads concurrently against one engine, and blocks until the
-    /// persistent runtime has completed this job.
-    pub fn edge_map<V, FS, FG, FC>(
-        &self,
-        frontier: &VertexSubset,
-        scatter: FS,
-        gather: FG,
-        cond: FC,
-        output: bool,
-    ) -> Result<VertexSubset>
-    where
-        V: BinValue,
-        FS: Fn(VertexId, VertexId) -> V + Sync,
-        FG: Fn(VertexId, V) -> bool + Sync,
-        FC: Fn(VertexId) -> bool + Sync,
-    {
-        self.run_edge_map(
-            frontier,
-            &scatter,
-            &gather,
-            None::<&fn(V, V) -> V>,
-            &cond,
-            output,
-            false,
-            None,
-        )
-    }
-
-    /// [`edge_map`](Self::edge_map) with scatter-side record combining:
-    /// when two staged records in one scatter worker's staging window share
-    /// a destination, `combine` merges their values into one record instead
-    /// of shipping both through the bins. `combine` must be associative and
-    /// agree with `gather`'s accumulation (e.g. addition for PageRank
-    /// deltas, `min` for label propagation) — then the gather side observes
-    /// the same reduction it would have computed itself, record by record,
-    /// and results are identical to the uncombined path.
-    ///
-    /// The payoff mirrors propagation-blocking update-log reduction: on
-    /// power-law graphs many records in a window target the same hub
-    /// vertex, and each merged record saves a bin-buffer slot, a flush, and
-    /// a gather application. The merged count is reported per iteration as
+    /// persistent runtime has completed this job. In [`EdgeMapMode::Binned`]
+    /// and [`EdgeMapMode::Async`] the spec's `gather` may update
+    /// [`VertexArray`](crate::VertexArray)s with plain `get`/`set` — bin
+    /// exclusivity guarantees a destination vertex is only touched by one
+    /// gather thread at a time. [`EdgeMapMode::Sync`] is the variant of
+    /// Figure 8b: no bins, scatter threads apply `gather` directly, so it
+    /// must use atomic read-modify-writes. A `combine` merges
+    /// same-destination records inside one scatter worker's staging
+    /// window; the merged count is reported per iteration as
     /// [`IterationTrace::records_combined`] (`records_produced` counts the
     /// post-combine stream).
-    ///
-    /// [`IterationTrace::records_combined`]: blaze_types::IterationTrace::records_combined
-    pub fn edge_map_combined<V, FS, FG, FM, FC>(
+    fn run_edge_map<V, FS, FG, FC, FM>(
         &self,
         frontier: &VertexSubset,
-        scatter: FS,
-        gather: FG,
-        combine: FM,
-        cond: FC,
-        output: bool,
+        spec: &EdgeMap<'_, FS, FG, FC, FM>,
     ) -> Result<VertexSubset>
     where
         V: BinValue,
         FS: Fn(VertexId, VertexId) -> V + Sync,
         FG: Fn(VertexId, V) -> bool + Sync,
+        FC: Fn(VertexId) -> bool + Sync,
         FM: Fn(V, V) -> V + Sync,
-        FC: Fn(VertexId) -> bool + Sync,
     {
-        self.run_edge_map(
-            frontier,
-            &scatter,
-            &gather,
-            Some(&combine),
-            &cond,
-            output,
-            false,
-            None,
-        )
-    }
-
-    /// The synchronization-based variant (Figure 8b): no bins — scatter
-    /// threads apply `gather` directly, so `gather` must perform its
-    /// updates with atomic read-modify-write operations
-    /// ([`VertexArray::fetch_update`](crate::VertexArray::fetch_update) /
-    /// [`fetch_add`](crate::VertexArray::fetch_add)).
-    pub fn edge_map_sync<V, FS, FG, FC>(
-        &self,
-        frontier: &VertexSubset,
-        scatter: FS,
-        gather: FG,
-        cond: FC,
-        output: bool,
-    ) -> Result<VertexSubset>
-    where
-        V: BinValue,
-        FS: Fn(VertexId, VertexId) -> V + Sync,
-        FG: Fn(VertexId, V) -> bool + Sync,
-        FC: Fn(VertexId) -> bool + Sync,
-    {
-        self.run_edge_map(
-            frontier,
-            &scatter,
-            &gather,
-            None::<&fn(V, V) -> V>,
-            &cond,
-            output,
-            true,
-            None,
-        )
-    }
-
-    /// Asynchronous `EdgeMap` for **monotone** algorithms: no per-iteration
-    /// barrier. Gather workers push newly-activated vertices into a
-    /// [`PriorityFrontier`] bucketed by `priority` (BFS/SSSP distance, WCC
-    /// label), and the driver keeps draining the most urgent batch until the
-    /// frontier is quiescent — convergence is a *quiescence* test (no queued
-    /// vertices, no batch in flight), not an empty-frontier superstep.
-    ///
-    /// Correctness requires monotonicity: `gather` must only move vertex
-    /// values in one direction (e.g. min-relaxation) and return `true` iff
-    /// it improved the value, so stale re-deliveries are no-ops and the
-    /// fixpoint is order-independent. Deterministic monotone algorithms
-    /// therefore converge to results *bit-identical* to their barriered
-    /// `edge_map` oracle. `seeds` are pushed at their `priority` before the
-    /// first batch is drained.
-    ///
-    /// Each drained batch reuses the whole barriered machinery — page
-    /// transform, SQ/CQ IO pump, online binning, combining — as one job
-    /// submission; only the iteration structure changes. Batch size and
-    /// bucket count come from [`EngineOptions::async_batch_max`] and
-    /// [`EngineOptions::async_buckets`]. Returns the frontier's final
-    /// counters (pushes, dedup hits, pops, batches).
-    pub fn edge_map_async<V, FS, FG, FC, FP>(
-        &self,
-        seeds: &[VertexId],
-        scatter: FS,
-        gather: FG,
-        cond: FC,
-        priority: FP,
-    ) -> Result<PrioritySnapshot>
-    where
-        V: BinValue,
-        FS: Fn(VertexId, VertexId) -> V + Sync,
-        FG: Fn(VertexId, V) -> bool + Sync,
-        FC: Fn(VertexId) -> bool + Sync,
-        FP: Fn(VertexId) -> u64 + Sync,
-    {
-        let pf = PriorityFrontier::new(self.graph.num_vertices(), self.options.async_buckets);
-        for &v in seeds {
-            pf.push(v, priority(v));
-        }
-        while let Some((bucket, batch)) = pf.pop_batch(self.options.async_batch_max) {
-            let round =
-                self.edge_map_async_batch(&batch, bucket, &pf, &scatter, &gather, &cond, &priority);
-            pf.complete_batch();
-            round?;
-        }
-        debug_assert!(pf.is_quiescent(), "drained frontier must be quiescent");
-        Ok(pf.snapshot())
-    }
-
-    /// One round of [`edge_map_async`](Self::edge_map_async): scatters
-    /// `batch` (drained from bucket `bucket` of `pf`) and re-queues every
-    /// vertex `gather` activates at its current `priority`. Exposed so
-    /// algorithms that interleave several engines per batch (WCC's
-    /// out+in direction pair, k-core's degree updates) can drive the
-    /// drain loop themselves against one shared frontier; call
-    /// [`PriorityFrontier::complete_batch`] after the batch's last round.
-    #[allow(clippy::too_many_arguments)]
-    pub fn edge_map_async_batch<V, FS, FG, FC, FP>(
-        &self,
-        batch: &[VertexId],
-        bucket: u64,
-        pf: &PriorityFrontier,
-        scatter: &FS,
-        gather: &FG,
-        cond: &FC,
-        priority: &FP,
-    ) -> Result<()>
-    where
-        V: BinValue,
-        FS: Fn(VertexId, VertexId) -> V + Sync,
-        FG: Fn(VertexId, V) -> bool + Sync,
-        FC: Fn(VertexId) -> bool + Sync,
-        FP: Fn(VertexId) -> u64 + Sync,
-    {
-        let frontier = VertexSubset::from_members(self.graph.num_vertices(), batch.iter().copied());
-        let gather_async = |dst: VertexId, value: V| {
-            if gather(dst, value) {
-                pf.push(dst, priority(dst));
-            }
-            false
+        let sync_variant = matches!(spec.mode, EdgeMapMode::Sync);
+        let async_round = match spec.mode {
+            EdgeMapMode::Async { bucket, frontier } => Some((bucket, frontier)),
+            _ => None,
         };
-        self.run_edge_map(
-            &frontier,
-            scatter,
-            &gather_async,
-            None::<&fn(V, V) -> V>,
-            cond,
-            false,
-            false,
-            Some((bucket, pf)),
-        )
-        .map(drop)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_edge_map<V, FS, FG, FM, FC>(
-        &self,
-        frontier: &VertexSubset,
-        scatter: &FS,
-        gather: &FG,
-        combine: Option<&FM>,
-        cond: &FC,
-        output: bool,
-        sync_variant: bool,
-        async_round: Option<(u64, &PriorityFrontier)>,
-    ) -> Result<VertexSubset>
-    where
-        V: BinValue,
-        FS: Fn(VertexId, VertexId) -> V + Sync,
-        FG: Fn(VertexId, V) -> bool + Sync,
-        FM: Fn(V, V) -> V + Sync,
-        FC: Fn(VertexId) -> bool + Sync,
-    {
         let t0 = Instant::now();
         let num_devices = self.graph.storage().num_devices();
         let async_before = async_round.map(|(_, pf)| pf.snapshot());
@@ -473,11 +271,7 @@ impl BlazeEngine {
             out: &out,
             pool: &pool,
             space: space.as_ref(),
-            scatter,
-            gather,
-            combine,
-            cond,
-            output,
+            spec,
             num_devices,
             num_scatter: self.options.num_scatter,
             io_done: AtomicUsize::new(0),
@@ -559,6 +353,57 @@ impl BlazeEngine {
     }
 }
 
+impl GraphEngine for BlazeEngine {
+    fn num_vertices(&self) -> usize {
+        self.graph.num_vertices()
+    }
+
+    fn layout(&self) -> &VertexPermutation {
+        self.graph.layout()
+    }
+
+    fn out_degree(&self, v: VertexId) -> u32 {
+        self.graph.degree(v)
+    }
+
+    /// Splits the map over the compute workers, serially below
+    /// [`EngineOptions::vertex_map_grain`] members per worker.
+    fn vertex_map<F>(&self, frontier: &VertexSubset, f: F) -> VertexSubset
+    where
+        F: Fn(VertexId) -> bool + Sync,
+    {
+        vertex_map_with_grain(
+            frontier,
+            f,
+            self.options.compute_workers(),
+            self.options.vertex_map_grain,
+        )
+    }
+
+    /// Runs every mode; see `run_edge_map` for what each one asks of the
+    /// spec's `gather`.
+    fn edge_map<V, FS, FG, FC, FM>(
+        &self,
+        frontier: &VertexSubset,
+        spec: EdgeMap<'_, FS, FG, FC, FM>,
+    ) -> Result<VertexSubset>
+    where
+        V: BinValue,
+        FS: Fn(VertexId, VertexId) -> V + Sync,
+        FG: Fn(VertexId, V) -> bool + Sync,
+        FC: Fn(VertexId) -> bool + Sync,
+        FM: Fn(V, V) -> V + Sync,
+    {
+        self.run_edge_map(frontier, &spec)
+    }
+
+    /// [`EngineOptions::async_buckets`] and
+    /// [`EngineOptions::async_batch_max`].
+    fn async_batching(&self) -> Result<(usize, usize)> {
+        Ok((self.options.async_buckets, self.options.async_batch_max))
+    }
+}
+
 /// One `edge_map` submission travelling through the persistent runtime:
 /// the user closures, the frontier, the job's private arena (buffer pool
 /// and bin space), and all per-job coordination state. The runtime's
@@ -576,13 +421,8 @@ where
     pool: &'a BufferPool,
     /// `None` in the synchronization-based variant (no bins).
     space: Option<&'a BinSpace<V>>,
-    scatter: &'a FS,
-    gather: &'a FG,
-    /// Associative merge for same-destination records inside one staging
-    /// window; `None` disables combining (the default path).
-    combine: Option<&'a FM>,
-    cond: &'a FC,
-    output: bool,
+    /// The user closures and the output flag.
+    spec: &'a EdgeMap<'a, FS, FG, FC, FM>,
     num_devices: usize,
     num_scatter: usize,
     /// IO workers that have finished this job (panics included, via guard).
@@ -1022,12 +862,12 @@ where
                     }
                     for &dst in dsts {
                         local_edges += 1;
-                        if !(self.cond)(dst) {
+                        if !(self.spec.cond)(dst) {
                             continue;
                         }
-                        let value = (self.scatter)(src, dst);
+                        let value = (self.spec.scatter)(src, dst);
                         match (&mut staging, self.space) {
-                            (Some(staging), Some(space)) => match self.combine {
+                            (Some(staging), Some(space)) => match &self.spec.combine {
                                 Some(combine) => staging.push_combined(space, dst, value, combine),
                                 None => staging.push(space, dst, value),
                             },
@@ -1035,7 +875,7 @@ where
                                 // Sync variant: apply directly with the
                                 // user's atomic gather — the CAS path.
                                 local_records += 1;
-                                if (self.gather)(dst, value) && self.output {
+                                if (self.spec.gather)(dst, value) && self.spec.output {
                                     self.out.insert(dst);
                                 }
                             }
@@ -1087,7 +927,7 @@ where
             let t = Instant::now();
             let progressed = space.process_one_full_for(worker, |_, records| {
                 for r in records {
-                    if (self.gather)(r.dst, r.value) && self.output {
+                    if (self.spec.gather)(r.dst, r.value) && self.spec.output {
                         self.out.insert(r.dst);
                     }
                 }
@@ -1168,33 +1008,38 @@ mod tests {
             let cond = |dst: u32| level.get(dst as usize) == -1;
             frontier = if sync {
                 engine
-                    .edge_map_sync(
+                    .edge_map(
                         &frontier,
-                        scatter,
-                        |dst: u32, _v: u32| {
-                            level
-                                .fetch_update(dst as usize, |cur| (cur == -1).then_some(d))
-                                .is_ok()
-                        },
-                        cond,
-                        true,
+                        EdgeMap::new(
+                            scatter,
+                            |dst: u32, _v: u32| {
+                                level
+                                    .fetch_update(dst as usize, |cur| (cur == -1).then_some(d))
+                                    .is_ok()
+                            },
+                            cond,
+                        )
+                        .sync()
+                        .with_output(),
                     )
                     .unwrap()
             } else {
                 engine
                     .edge_map(
                         &frontier,
-                        scatter,
-                        |dst: u32, _v: u32| {
-                            if level.get(dst as usize) == -1 {
-                                level.set(dst as usize, d);
-                                true
-                            } else {
-                                false
-                            }
-                        },
-                        cond,
-                        true,
+                        EdgeMap::new(
+                            scatter,
+                            |dst: u32, _v: u32| {
+                                if level.get(dst as usize) == -1 {
+                                    level.set(dst as usize, d);
+                                    true
+                                } else {
+                                    false
+                                }
+                            },
+                            cond,
+                        )
+                        .with_output(),
                     )
                     .unwrap()
             };
@@ -1238,13 +1083,14 @@ mod tests {
         let sum = VertexArray::<u64>::new(g.num_vertices(), 0);
         e.edge_map(
             &frontier,
-            |_s, _d| 1u32,
-            |dst, v| {
-                sum.set(dst as usize, sum.get(dst as usize) + v as u64);
-                true
-            },
-            |_| true,
-            false,
+            EdgeMap::new(
+                |_s, _d| 1u32,
+                |dst, v| {
+                    sum.set(dst as usize, sum.get(dst as usize) + v as u64);
+                    true
+                },
+                |_| true,
+            ),
         )
         .unwrap();
         let total: u64 = (0..g.num_vertices()).map(|i| sum.get(i)).sum();
@@ -1263,10 +1109,12 @@ mod tests {
         let out = e
             .edge_map(
                 &frontier,
-                |_s, _d| 0u32,
-                |_dst, _v| panic!("gather must not run"),
-                |_| false,
-                true,
+                EdgeMap::new(
+                    |_s, _d| 0u32,
+                    |_dst, _v| panic!("gather must not run"),
+                    |_| false,
+                )
+                .with_output(),
             )
             .unwrap();
         assert!(out.is_empty());
@@ -1280,7 +1128,10 @@ mod tests {
         let e = engine(&g, 1, EngineOptions::default());
         let frontier = VertexSubset::full(g.num_vertices());
         let out = e
-            .edge_map(&frontier, |_s, _d| 0u32, |_d, _v| true, |_| true, false)
+            .edge_map(
+                &frontier,
+                EdgeMap::new(|_s, _d| 0u32, |_d, _v| true, |_| true),
+            )
             .unwrap();
         assert!(out.is_empty());
     }
@@ -1292,7 +1143,10 @@ mod tests {
         let mut frontier = VertexSubset::new(g.num_vertices());
         frontier.seal();
         let out = e
-            .edge_map(&frontier, |_s, _d| 0u32, |_d, _v| true, |_| true, true)
+            .edge_map(
+                &frontier,
+                EdgeMap::new(|_s, _d| 0u32, |_d, _v| true, |_| true).with_output(),
+            )
             .unwrap();
         assert!(out.is_empty());
         assert_eq!(e.stats().io_bytes, 0);
@@ -1303,7 +1157,7 @@ mod tests {
         let g = rmat(&RmatConfig::new(9));
         let e = engine(&g, 2, EngineOptions::default());
         let frontier = VertexSubset::full(g.num_vertices());
-        e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
+        e.edge_map(&frontier, EdgeMap::new(|s, _d| s, |_d, _v| false, |_| true))
             .unwrap();
         let traces = e.take_traces();
         assert_eq!(traces.len(), 1);
@@ -1337,7 +1191,7 @@ mod tests {
             .find(|&v| g.degree(v) >= 1 && g.degree(v) <= 8)
             .unwrap();
         let frontier = VertexSubset::single(g.num_vertices(), v);
-        e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
+        e.edge_map(&frontier, EdgeMap::new(|s, _d| s, |_d, _v| false, |_| true))
             .unwrap();
         let io = e.stats().io_bytes;
         assert!(io <= 4 * 4096, "sparse frontier read {io} bytes");
@@ -1350,7 +1204,7 @@ mod tests {
         let e = engine(&g, 2, EngineOptions::default().with_page_cache(1 << 16));
         let frontier = VertexSubset::full(g.num_vertices());
         for _ in 0..2 {
-            e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
+            e.edge_map(&frontier, EdgeMap::new(|s, _d| s, |_d, _v| false, |_| true))
                 .unwrap();
         }
         let traces = e.take_traces();
@@ -1377,7 +1231,7 @@ mod tests {
         let frontier = VertexSubset::full(g.num_vertices());
         for e in [&uncached, &bypassed] {
             for _ in 0..2 {
-                e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
+                e.edge_map(&frontier, EdgeMap::new(|s, _d| s, |_d, _v| false, |_| true))
                     .unwrap();
             }
         }
@@ -1415,14 +1269,11 @@ mod tests {
             .unwrap();
         e.edge_map(
             &VertexSubset::single(n, v),
-            |s, _d| s,
-            |_d, _v| false,
-            |_| true,
-            false,
+            EdgeMap::new(|s, _d| s, |_d, _v| false, |_| true),
         )
         .unwrap();
         let frontier = VertexSubset::full(n);
-        e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
+        e.edge_map(&frontier, EdgeMap::new(|s, _d| s, |_d, _v| false, |_| true))
             .unwrap();
         let traces = e.take_traces();
         let t = &traces[1];
@@ -1452,7 +1303,7 @@ mod tests {
         let e = engine(&g, 1, EngineOptions::default().with_page_cache(4));
         let frontier = VertexSubset::full(g.num_vertices());
         for _ in 0..2 {
-            e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
+            e.edge_map(&frontier, EdgeMap::new(|s, _d| s, |_d, _v| false, |_| true))
                 .unwrap();
         }
         let traces = e.take_traces();
@@ -1469,12 +1320,18 @@ mod tests {
         let g = rmat(&RmatConfig::new(8));
         let e = engine(&g, 1, EngineOptions::default());
         let frontier = VertexSubset::full(g.num_vertices());
-        e.edge_map(&frontier, |_s, _d| 0u32, |_d, _v| false, |_| true, false)
-            .unwrap();
+        e.edge_map(
+            &frontier,
+            EdgeMap::new(|_s, _d| 0u32, |_d, _v| false, |_| true),
+        )
+        .unwrap();
         let t = e.take_traces().pop().unwrap();
         assert_eq!(t.atomic_ops, 0);
-        e.edge_map_sync(&frontier, |_s, _d| 0u32, |_d, _v| false, |_| true, false)
-            .unwrap();
+        e.edge_map(
+            &frontier,
+            EdgeMap::new(|_s, _d| 0u32, |_d, _v| false, |_| true).sync(),
+        )
+        .unwrap();
         let t = e.take_traces().pop().unwrap();
         assert_eq!(t.atomic_ops, g.num_edges());
     }
@@ -1484,11 +1341,11 @@ mod tests {
         let g = rmat(&RmatConfig::new(8));
         let e = engine(&g, 1, EngineOptions::default());
         let frontier = VertexSubset::full(g.num_vertices());
-        e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
+        e.edge_map(&frontier, EdgeMap::new(|s, _d| s, |_d, _v| false, |_| true))
             .unwrap();
         // A clean job recycles its pool and bin space into the arena cache.
         assert_eq!(e.arena.idle_len(), 2);
-        e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
+        e.edge_map(&frontier, EdgeMap::new(|s, _d| s, |_d, _v| false, |_| true))
             .unwrap();
         assert_eq!(e.arena.idle_len(), 2, "second job reused the cached arena");
     }
@@ -1520,7 +1377,7 @@ mod tests {
         let frontier = VertexSubset::full(g.num_vertices());
         // Synchronous backend: exactly one request in flight, ever.
         let e = engine(&g, 2, EngineOptions::default());
-        e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
+        e.edge_map(&frontier, EdgeMap::new(|s, _d| s, |_d, _v| false, |_| true))
             .unwrap();
         let t = e.take_traces().pop().unwrap();
         assert_eq!(t.io_max_in_flight, 1);
@@ -1534,7 +1391,7 @@ mod tests {
         // Threaded backend: the pump fills the window before reaping, so a
         // scan with enough requests per device must reach the full depth.
         let e = engine(&g, 1, EngineOptions::default().with_queue_depth(8));
-        e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
+        e.edge_map(&frontier, EdgeMap::new(|s, _d| s, |_d, _v| false, |_| true))
             .unwrap();
         let t = e.take_traces().pop().unwrap();
         assert!(t.total_io_requests() >= 8, "scan too small for the window");
@@ -1560,13 +1417,14 @@ mod tests {
             let sum = VertexArray::<u64>::new(g.num_vertices(), 0);
             e.edge_map(
                 &frontier,
-                |_s, _d| 1u32,
-                |dst, v| {
-                    sum.set(dst as usize, sum.get(dst as usize) + v as u64);
-                    true
-                },
-                |_| true,
-                false,
+                EdgeMap::new(
+                    |_s, _d| 1u32,
+                    |dst, v| {
+                        sum.set(dst as usize, sum.get(dst as usize) + v as u64);
+                        true
+                    },
+                    |_| true,
+                ),
             )
             .unwrap();
             let total: u64 = (0..g.num_vertices()).map(|i| sum.get(i)).sum();
@@ -1592,7 +1450,7 @@ mod tests {
         let graph = Arc::new(DiskGraph::create(&g, storage).unwrap());
         let e = BlazeEngine::new(graph, EngineOptions::default()).unwrap();
         let frontier = VertexSubset::full(g.num_vertices());
-        let r = e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false);
+        let r = e.edge_map(&frontier, EdgeMap::new(|s, _d| s, |_d, _v| false, |_| true));
         assert!(matches!(r, Err(BlazeError::Io(_))), "got {r:?}");
         // The job drained cleanly: its pool returned every buffer and both
         // arena pieces were recycled for the next job.
@@ -1615,7 +1473,7 @@ mod tests {
         let graph = Arc::new(DiskGraph::create(&g, storage).unwrap());
         let e = BlazeEngine::new(graph, EngineOptions::default().with_queue_depth(8)).unwrap();
         let frontier = VertexSubset::full(g.num_vertices());
-        let r = e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false);
+        let r = e.edge_map(&frontier, EdgeMap::new(|s, _d| s, |_d, _v| false, |_| true));
         assert!(matches!(r, Err(BlazeError::Io(_))), "got {r:?}");
         assert_eq!(e.arena.idle_len(), 2, "drained job must recycle its arena");
     }
@@ -1628,13 +1486,14 @@ mod tests {
         let sum = VertexArray::<u64>::new(n, 0);
         e.edge_map(
             &frontier,
-            |_s, _d| 1u32,
-            |dst, v| {
-                sum.set(dst as usize, sum.get(dst as usize) + v as u64);
-                true
-            },
-            |_| true,
-            false,
+            EdgeMap::new(
+                |_s, _d| 1u32,
+                |dst, v| {
+                    sum.set(dst as usize, sum.get(dst as usize) + v as u64);
+                    true
+                },
+                |_| true,
+            ),
         )
         .unwrap();
         (0..n).map(|i| sum.get(i)).sum()
@@ -1745,7 +1604,9 @@ mod tests {
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
-                    s.spawn(|| e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false))
+                    s.spawn(|| {
+                        e.edge_map(&frontier, EdgeMap::new(|s, _d| s, |_d, _v| false, |_| true))
+                    })
                 })
                 .collect();
             for h in handles {
@@ -1815,10 +1676,13 @@ mod tests {
                     true
                 };
                 if combined {
-                    e.edge_map_combined(&frontier, scatter, gather, |a, b| a + b, |_| true, false)
-                        .unwrap();
+                    e.edge_map(
+                        &frontier,
+                        EdgeMap::new(scatter, gather, |_| true).combine(|a, b| a + b),
+                    )
+                    .unwrap();
                 } else {
-                    e.edge_map(&frontier, scatter, gather, |_| true, false)
+                    e.edge_map(&frontier, EdgeMap::new(scatter, gather, |_| true))
                         .unwrap();
                 }
                 (0..g.num_vertices())
@@ -1834,13 +1698,9 @@ mod tests {
         let g = star(3000);
         let e = engine(&g, 1, EngineOptions::default());
         let frontier = VertexSubset::full(g.num_vertices());
-        e.edge_map_combined(
+        e.edge_map(
             &frontier,
-            |_s, _d| 1u64,
-            |_d, _v| false,
-            |a, b| a + b,
-            |_| true,
-            false,
+            EdgeMap::new(|_s, _d| 1u64, |_d, _v| false, |_| true).combine(|a, b| a + b),
         )
         .unwrap();
         let t = e.take_traces().pop().unwrap();
@@ -1857,8 +1717,11 @@ mod tests {
             t.records_produced
         );
         // The uncombined path reports zero.
-        e.edge_map(&frontier, |_s, _d| 1u64, |_d, _v| false, |_| true, false)
-            .unwrap();
+        e.edge_map(
+            &frontier,
+            EdgeMap::new(|_s, _d| 1u64, |_d, _v| false, |_| true),
+        )
+        .unwrap();
         let t = e.take_traces().pop().unwrap();
         assert_eq!(t.records_combined, 0);
         assert_eq!(t.records_produced, g.num_edges());
@@ -1876,7 +1739,7 @@ mod tests {
         let g = rmat(&RmatConfig::new(9));
         let e = engine(&g, 1, EngineOptions::default());
         let frontier = VertexSubset::full(g.num_vertices());
-        e.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
+        e.edge_map(&frontier, EdgeMap::new(|s, _d| s, |_d, _v| false, |_| true))
             .unwrap();
         let t = e.take_traces().pop().unwrap();
         assert!(t.scatter_ns > 0, "scatter walked every page");
@@ -1885,8 +1748,11 @@ mod tests {
         assert_eq!(s.scatter_ns, t.scatter_ns);
         assert_eq!(s.gather_ns, t.gather_ns);
         // The sync variant never runs gather workers.
-        e.edge_map_sync(&frontier, |s, _d| s, |_d, _v| false, |_| true, false)
-            .unwrap();
+        e.edge_map(
+            &frontier,
+            EdgeMap::new(|s, _d| s, |_d, _v| false, |_| true).sync(),
+        )
+        .unwrap();
         let t = e.take_traces().pop().unwrap();
         assert!(t.scatter_ns > 0);
         assert_eq!(t.gather_ns, 0);
@@ -1901,18 +1767,20 @@ mod tests {
         let snap = engine
             .edge_map_async(
                 &[root],
-                |s: u32, _d: u32| (level.get(s as usize) + 1) as u64,
-                |dst: u32, lvl: u64| {
-                    let lvl = lvl as i64;
-                    let cur = level.get(dst as usize);
-                    if cur == -1 || lvl < cur {
-                        level.set(dst as usize, lvl);
-                        true
-                    } else {
-                        false
-                    }
-                },
-                |_| true,
+                EdgeMap::new(
+                    |s: u32, _d: u32| (level.get(s as usize) + 1) as u64,
+                    |dst: u32, lvl: u64| {
+                        let lvl = lvl as i64;
+                        let cur = level.get(dst as usize);
+                        if cur == -1 || lvl < cur {
+                            level.set(dst as usize, lvl);
+                            true
+                        } else {
+                            false
+                        }
+                    },
+                    |_| true,
+                ),
                 |v: u32| level.get(v as usize).max(0) as u64,
             )
             .unwrap();
@@ -1973,10 +1841,11 @@ mod tests {
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             e.edge_map(
                 &frontier,
-                |_s, _d| -> u32 { panic!("user scatter exploded") },
-                |_d, _v| false,
-                |_| true,
-                false,
+                EdgeMap::new(
+                    |_s, _d| -> u32 { panic!("user scatter exploded") },
+                    |_d, _v| false,
+                    |_| true,
+                ),
             )
         }));
         assert!(caught.is_err(), "scatter panic must reach the submitter");

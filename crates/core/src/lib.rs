@@ -24,15 +24,17 @@
 //! independent jobs submitted from multiple threads interleave through the
 //! shared workers without contending on each other's buffers.
 //!
-//! A synchronization-based variant ([`BlazeEngine::edge_map_sync`]) applies
-//! updates directly from scatter workers with compare-and-swap, reproducing
-//! the baseline of Figure 8(b).
+//! Every call is described by one [`EdgeMap`] spec and runs through the
+//! [`GraphEngine`] trait, which the scale-out cluster and the baseline
+//! engines implement too. The spec's [`EdgeMapMode::Sync`] variant applies
+//! updates directly from scatter workers with compare-and-swap,
+//! reproducing the baseline of Figure 8(b).
 //!
 //! # Quickstart
 //!
 //! ```
 //! use blaze_sync::Arc;
-//! use blaze_core::{BlazeEngine, EngineOptions, VertexArray};
+//! use blaze_core::{BlazeEngine, EdgeMap, EngineOptions, GraphEngine, VertexArray};
 //! use blaze_frontier::VertexSubset;
 //! use blaze_graph::{gen, DiskGraph};
 //! use blaze_storage::StripedStorage;
@@ -49,10 +51,9 @@
 //! parent.set(0, 0);
 //! let mut frontier = VertexSubset::single(n, 0);
 //! while !frontier.is_empty() {
-//!     frontier = engine.edge_map(
-//!         &frontier,
+//!     let spec = EdgeMap::new(
 //!         |src, _dst| src,                       // scatter: propagate parent id
-//!         |dst, v| {
+//!         |dst, v| {                             // gather: claim unvisited
 //!             if parent.get(dst as usize) == -1 {
 //!                 parent.set(dst as usize, v as i64);
 //!                 true
@@ -61,13 +62,14 @@
 //!             }
 //!         },
 //!         |dst| parent.get(dst as usize) == -1,  // cond: unvisited only
-//!         true,
-//!     ).unwrap();
+//!     );
+//!     frontier = engine.edge_map(&frontier, spec.with_output()).unwrap();
 //! }
 //! assert_eq!(parent.get(0), 0);
 //! ```
 
 pub mod arena;
+pub mod edge_map;
 pub mod engine;
 pub mod memory;
 pub mod options;
@@ -79,6 +81,7 @@ pub mod vertex_map;
 
 pub use arena::EngineArena;
 pub use blaze_storage::PageCache;
+pub use edge_map::{EdgeMap, EdgeMapMode, ExecMode, GraphEngine};
 pub use engine::BlazeEngine;
 pub use memory::MemoryFootprint;
 pub use options::EngineOptions;

@@ -11,7 +11,7 @@
 //! * a failing device under the threaded backend fails the query with the
 //!   injected error — no hang, no lost buffers, engine usable afterwards.
 
-use blaze_core::{BlazeEngine, EngineOptions, VertexArray};
+use blaze_core::{BlazeEngine, EdgeMap, EngineOptions, GraphEngine, VertexArray};
 use blaze_frontier::VertexSubset;
 use blaze_graph::gen::{rmat, uniform, RmatConfig};
 use blaze_graph::{Csr, DiskGraph};
@@ -50,10 +50,7 @@ fn full_scan(e: &BlazeEngine) {
     let frontier = VertexSubset::full(e.num_vertices());
     e.edge_map(
         &frontier,
-        |s: u32, _d: u32| s,
-        |_d, _v| false,
-        |_| true,
-        false,
+        EdgeMap::new(|s: u32, _d: u32| s, |_d, _v| false, |_| true),
     )
     .unwrap();
 }
@@ -70,17 +67,19 @@ fn bfs(e: &BlazeEngine, root: u32) -> blaze_types::Result<Vec<i64>> {
         let d = depth;
         frontier = e.edge_map(
             &frontier,
-            |_s: u32, _d: u32| 0u32,
-            |dst: u32, _v: u32| {
-                if level.get(dst as usize) == -1 {
-                    level.set(dst as usize, d);
-                    true
-                } else {
-                    false
-                }
-            },
-            |dst: u32| level.get(dst as usize) == -1,
-            true,
+            EdgeMap::new(
+                |_s: u32, _d: u32| 0u32,
+                |dst: u32, _v: u32| {
+                    if level.get(dst as usize) == -1 {
+                        level.set(dst as usize, d);
+                        true
+                    } else {
+                        false
+                    }
+                },
+                |dst: u32| level.get(dst as usize) == -1,
+            )
+            .with_output(),
         )?;
     }
     Ok(level.to_vec())
@@ -200,10 +199,7 @@ fn faulty_device_fails_bfs_cleanly_under_threaded_backend() {
     let out = e
         .edge_map(
             &empty,
-            |_s: u32, _d: u32| 0u32,
-            |_d, _v| true,
-            |_| true,
-            true,
+            EdgeMap::new(|_s: u32, _d: u32| 0u32, |_d, _v| true, |_| true).with_output(),
         )
         .unwrap();
     assert!(out.is_empty());

@@ -23,7 +23,10 @@ use std::ops::Range;
 use blaze_sync::{Arc, Mutex};
 
 use blaze_binning::BinValue;
-use blaze_core::{BlazeEngine, EngineOptions, ExecStats, ShardPool};
+use blaze_core::edge_map::unsupported_mode;
+use blaze_core::{
+    BlazeEngine, EdgeMap, EdgeMapMode, EngineOptions, ExecStats, GraphEngine, ShardPool,
+};
 use blaze_frontier::{wire, VertexSubset};
 use blaze_graph::{Csr, DiskGraph, VertexLayout, VertexPermutation};
 use blaze_storage::StripedStorage;
@@ -50,7 +53,7 @@ pub struct ClusterStats {
     /// frontier slices plus per-frame framing.
     pub exchange_bytes: u64,
     /// Modeled bytes for the scattered values accompanying the exchanged
-    /// ids (`frontier members x value_bytes x peers`); the ids themselves
+    /// ids (`frontier members x size_of::<V>() x peers`); the ids themselves
     /// are measured in [`exchange_bytes`](Self::exchange_bytes).
     pub exchange_value_bytes: u64,
     /// Point-to-point messages completed on the fabric.
@@ -176,25 +179,9 @@ impl Cluster {
         self.machines.len()
     }
 
-    /// Number of vertices in the global graph.
-    pub fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
     /// Per-machine engines (for inspecting traces/stats).
     pub fn machines(&self) -> &[Machine] {
         &self.machines
-    }
-
-    /// The original ↔ physical permutation shared by every shard.
-    pub fn layout(&self) -> &VertexPermutation {
-        &self.layout
-    }
-
-    /// Global out-degrees in physical id space (shard subgraphs only see
-    /// their filtered slice).
-    pub fn out_degrees(&self) -> &[u32] {
-        &self.out_degrees
     }
 
     /// The router mapping vertex ids to owning shards.
@@ -229,45 +216,117 @@ impl Cluster {
         }
     }
 
-    /// Distributed `EdgeMap`, one superstep: every shard concurrently
-    /// exchanges its slice of `frontier` with its peers, rebuilds the full
-    /// replica, and runs the same scatter/gather over its destination
-    /// partition; the returned frontier is the union of the shards'
-    /// outputs. `value_bytes` sizes the modeled value payload that rides
-    /// along with each exchanged activation (vertex state the scatter
-    /// side reads).
+    /// One shard's half of a superstep, executed on its pool thread.
     ///
-    /// Ids in `frontier` (and those seen by `scatter`/`gather`/`cond`) are
-    /// physical — the same space a single engine built with the same
-    /// layout uses.
-    pub fn edge_map<V, FS, FG, FC>(
+    /// Every fallible step sits *after* the collective exchange, so a shard
+    /// hitting an error still completes the all-to-all and cannot strand
+    /// its peers mid-round; the error surfaces through the result slot.
+    fn shard_superstep<V, FS, FG, FC, FM>(
         &self,
+        shard: usize,
         frontier: &VertexSubset,
-        scatter: FS,
-        gather: FG,
-        cond: FC,
-        output: bool,
-        value_bytes: usize,
+        spec: EdgeMap<'_, FS, FG, FC, FM>,
     ) -> Result<VertexSubset>
     where
         V: BinValue,
         FS: Fn(VertexId, VertexId) -> V + Sync,
         FG: Fn(VertexId, V) -> bool + Sync,
         FC: Fn(VertexId) -> bool + Sync,
+        FM: Fn(V, V) -> V + Sync,
     {
+        let machine = &self.machines[shard];
+        let payload = wire::encode_range(frontier, machine.dst_range.clone());
+        let inbox = self.fabric.exchange(shard, &payload);
+        let mut replica = VertexSubset::new(self.num_vertices);
+        frontier.for_each_in_range(machine.dst_range.clone(), |v| {
+            replica.insert(v);
+        });
+        for (src, message) in inbox.iter().enumerate() {
+            if src == shard {
+                continue;
+            }
+            wire::decode_into(message, &replica)?;
+        }
+        replica.seal();
+        let local = machine.engine.edge_map(&replica, spec)?;
+        // Destination partitioning guarantees gather locality; an escape
+        // means the partition table and the subgraphs disagree, and the
+        // union frontier (and every downstream round) would silently
+        // corrupt. Fail loudly, in release builds too.
+        for v in local.members() {
+            if !machine.dst_range.contains(&v) {
+                return Err(BlazeError::Engine(format!(
+                    "shard {shard} activated vertex {v} outside its destination \
+                     range {:?}: destination partitioning is broken",
+                    machine.dst_range
+                )));
+            }
+        }
+        Ok(local)
+    }
+}
+
+impl GraphEngine for Cluster {
+    fn num_vertices(&self) -> usize {
+        self.num_vertices
+    }
+
+    /// The permutation shared by every shard.
+    fn layout(&self) -> &VertexPermutation {
+        &self.layout
+    }
+
+    /// The global out-degree: shard subgraphs filter neighbor lists to
+    /// their own destination range, so their local degree under-counts.
+    fn out_degree(&self, v: VertexId) -> u32 {
+        self.out_degrees[v as usize]
+    }
+
+    /// Vertex state is replicated, not partitioned, so `VertexMap`
+    /// (APPLYFILTER) runs on the calling thread with shard 0's engine
+    /// settings, exactly as the paper's Section VI sketch prescribes.
+    fn vertex_map<F>(&self, frontier: &VertexSubset, f: F) -> VertexSubset
+    where
+        F: Fn(VertexId) -> bool + Sync,
+    {
+        self.machines[0].engine.vertex_map(frontier, f)
+    }
+
+    /// Distributed `EdgeMap`, one superstep: every shard concurrently
+    /// exchanges its slice of `frontier` with its peers, rebuilds the full
+    /// replica, and runs the spec over its destination partition; the
+    /// returned frontier is the union of the shards' outputs. Each
+    /// exchanged activation is modeled as carrying one scattered value
+    /// (`size_of::<V>()` bytes) of the vertex state the scatter side reads.
+    ///
+    /// Only [`EdgeMapMode::Binned`] runs: the superstep barrier is the
+    /// cluster's round structure, and the sync variant's atomics would not
+    /// reach across machines.
+    fn edge_map<V, FS, FG, FC, FM>(
+        &self,
+        frontier: &VertexSubset,
+        spec: EdgeMap<'_, FS, FG, FC, FM>,
+    ) -> Result<VertexSubset>
+    where
+        V: BinValue,
+        FS: Fn(VertexId, VertexId) -> V + Sync,
+        FG: Fn(VertexId, V) -> bool + Sync,
+        FC: Fn(VertexId) -> bool + Sync,
+        FM: Fn(V, V) -> V + Sync,
+    {
+        if !matches!(spec.mode, EdgeMapMode::Binned) {
+            return Err(unsupported_mode("a cluster", &spec.mode));
+        }
         let shards = self.machines.len();
         let active = frontier.len() as u64;
         let out = if shards == 1 {
             // Single shard: nothing to exchange, drive the engine directly.
-            self.machines[0]
-                .engine
-                .edge_map(frontier, &scatter, &gather, &cond, output)?
+            self.machines[0].engine.edge_map(frontier, spec)?
         } else {
             let slots: Vec<Mutex<Option<Result<VertexSubset>>>> =
                 (0..shards).map(|_| Mutex::new(None)).collect();
             self.pool.run(&|shard| {
-                let result =
-                    self.shard_superstep(shard, frontier, &scatter, &gather, &cond, output);
+                let result = self.shard_superstep(shard, frontier, spec.by_ref());
                 *slots[shard].lock() = Some(result);
             });
             let mut out = VertexSubset::new(self.num_vertices);
@@ -285,62 +344,9 @@ impl Cluster {
         };
         let mut c = self.counters.lock();
         c.rounds += 1;
-        c.value_bytes += active * value_bytes as u64 * (shards as u64 - 1);
+        c.value_bytes += active * std::mem::size_of::<V>() as u64 * (shards as u64 - 1);
         drop(c);
         Ok(out)
-    }
-
-    /// One shard's half of a superstep, executed on its pool thread.
-    ///
-    /// Every fallible step sits *after* the collective exchange, so a shard
-    /// hitting an error still completes the all-to-all and cannot strand
-    /// its peers mid-round; the error surfaces through the result slot.
-    fn shard_superstep<V, FS, FG, FC>(
-        &self,
-        shard: usize,
-        frontier: &VertexSubset,
-        scatter: &FS,
-        gather: &FG,
-        cond: &FC,
-        output: bool,
-    ) -> Result<VertexSubset>
-    where
-        V: BinValue,
-        FS: Fn(VertexId, VertexId) -> V + Sync,
-        FG: Fn(VertexId, V) -> bool + Sync,
-        FC: Fn(VertexId) -> bool + Sync,
-    {
-        let machine = &self.machines[shard];
-        let payload = wire::encode_range(frontier, machine.dst_range.clone());
-        let inbox = self.fabric.exchange(shard, &payload);
-        let mut replica = VertexSubset::new(self.num_vertices);
-        frontier.for_each_in_range(machine.dst_range.clone(), |v| {
-            replica.insert(v);
-        });
-        for (src, message) in inbox.iter().enumerate() {
-            if src == shard {
-                continue;
-            }
-            wire::decode_into(message, &replica)?;
-        }
-        replica.seal();
-        let local = machine
-            .engine
-            .edge_map(&replica, scatter, gather, cond, output)?;
-        // Destination partitioning guarantees gather locality; an escape
-        // means the partition table and the subgraphs disagree, and the
-        // union frontier (and every downstream round) would silently
-        // corrupt. Fail loudly, in release builds too.
-        for v in local.members() {
-            if !machine.dst_range.contains(&v) {
-                return Err(BlazeError::Engine(format!(
-                    "shard {shard} activated vertex {v} outside its destination \
-                     range {:?}: destination partitioning is broken",
-                    machine.dst_range
-                )));
-            }
-        }
-        Ok(local)
     }
 }
 
@@ -363,18 +369,19 @@ mod tests {
             frontier = cluster
                 .edge_map(
                     &frontier,
-                    |_s: u32, _d: u32| 0u32,
-                    |dst: u32, _v: u32| {
-                        if level.get(dst as usize) == -1 {
-                            level.set(dst as usize, d);
-                            true
-                        } else {
-                            false
-                        }
-                    },
-                    |dst: u32| level.get(dst as usize) == -1,
-                    true,
-                    4,
+                    EdgeMap::new(
+                        |_s: u32, _d: u32| 0u32,
+                        |dst: u32, _v: u32| {
+                            if level.get(dst as usize) == -1 {
+                                level.set(dst as usize, d);
+                                true
+                            } else {
+                                false
+                            }
+                        },
+                        |dst: u32| level.get(dst as usize) == -1,
+                    )
+                    .with_output(),
                 )
                 .unwrap();
         }
@@ -426,14 +433,15 @@ mod tests {
         cluster
             .edge_map(
                 &frontier,
-                |_s: u32, _d: u32| 1u32,
-                |d: u32, v: u32| {
-                    sum.set(d as usize, sum.get(d as usize) + v as u64);
-                    true
-                },
-                |_d: u32| true,
-                true,
-                4,
+                EdgeMap::new(
+                    |_s: u32, _d: u32| 1u32,
+                    |d: u32, v: u32| {
+                        sum.set(d as usize, sum.get(d as usize) + v as u64);
+                        true
+                    },
+                    |_d: u32| true,
+                )
+                .with_output(),
             )
             .unwrap();
         let total: u64 = (0..g.num_vertices()).map(|v| sum.get(v)).sum();
@@ -503,11 +511,7 @@ mod tests {
         let run = |c: &Cluster| {
             c.edge_map(
                 &frontier,
-                |s: u32, _d: u32| s,
-                |_d: u32, _v: u32| false,
-                |_| true,
-                false,
-                4,
+                EdgeMap::new(|s: u32, _d: u32| s, |_d: u32, _v: u32| false, |_| true),
             )
             .unwrap();
             c.machines()

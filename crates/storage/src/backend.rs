@@ -18,8 +18,7 @@
 //!   issuing reads through the queue-depth-aware
 //!   [`read_local_run_at_depth`](StripedStorage::read_local_run_at_depth)
 //!   path so modeled devices overlap request latency across the in-flight
-//!   window. A real io_uring backend slots in behind the same trait (see
-//!   `uring`, feature `io-uring`).
+//!   window. A real io_uring backend would slot in behind the same trait.
 //!
 //! Back-pressure is structural: `submit` blocks once `queue_depth` requests
 //! are in flight on a device, so a backend can never be buried, and every
@@ -297,8 +296,7 @@ impl ThreadedShared {
 /// This is the stand-in for the paper's libaio IO thread: the engine-facing
 /// semantics (deep queue, out-of-order completion, structural
 /// back-pressure) match, while the kernel-level mechanism is a thread pool
-/// instead of an async syscall interface — see `DESIGN.md` §9 and the
-/// feature-gated `uring` slot-in.
+/// instead of an async syscall interface — see `DESIGN.md` §9.
 pub struct ThreadedBackend {
     shared: Arc<ThreadedShared>,
     queue_depth: usize,

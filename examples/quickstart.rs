@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use blaze::engine::{BlazeEngine, EngineOptions, VertexArray};
+use blaze::engine::{BlazeEngine, EdgeMap, EngineOptions, GraphEngine, VertexArray};
 use blaze::frontier::VertexSubset;
 use blaze::graph::{gen, DiskGraph};
 use blaze::storage::StripedStorage;
@@ -48,8 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut depth = 0;
     while !frontier.is_empty() {
         depth += 1;
-        frontier = engine.edge_map(
-            &frontier,
+        let spec = EdgeMap::new(
             |src, _dst| src,
             |dst, v| {
                 if parent.get(dst as usize) == -1 {
@@ -60,8 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 }
             },
             |dst| parent.get(dst as usize) == -1,
-            true,
-        )?;
+        );
+        frontier = engine.edge_map(&frontier, spec.with_output())?;
         println!("depth {depth}: frontier {}", frontier.len());
     }
 

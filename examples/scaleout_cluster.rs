@@ -1,5 +1,5 @@
-//! Scale-out prototype (the paper's Section VI sketch): BFS over a
-//! destination-partitioned cluster. Each "machine" owns the edges whose
+//! Scale-out prototype (the paper's Section VI sketch): the library's BFS
+//! run unchanged over a destination-partitioned cluster. Each "machine" owns the edges whose
 //! destination falls in its range, runs a full Blaze engine over its own
 //! SSDs, and gathers entirely locally — the only cross-machine traffic is
 //! the per-iteration frontier broadcast, which the run reports.
@@ -8,8 +8,8 @@
 //! cargo run --release --example scaleout_cluster
 //! ```
 
-use blaze::engine::{EngineOptions, VertexArray};
-use blaze::frontier::VertexSubset;
+use blaze::algorithms::{bfs, reference, ExecMode};
+use blaze::engine::{EngineOptions, GraphEngine};
 use blaze::graph::{Dataset, DatasetScale};
 use blaze::scaleout::Cluster;
 
@@ -17,36 +17,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let csr = Dataset::Rmat30.generate(DatasetScale::Tiny);
     let n = csr.num_vertices();
     println!("graph: {n} vertices, {} edges", csr.num_edges());
+    let expect = reference::bfs_levels(&csr, 0);
 
     for machines in [1usize, 2, 4] {
         let cluster = Cluster::build(&csr, machines, 1, EngineOptions::default())?;
-        let level = VertexArray::<i64>::new(n, -1);
-        level.set(0, 0);
-        let mut frontier = VertexSubset::single(n, 0);
-        let mut depth = 0i64;
-        while !frontier.is_empty() {
-            depth += 1;
-            let d = depth;
-            frontier = cluster.edge_map(
-                &frontier,
-                |_s, _dst| 0u32,
-                |dst, _v| {
-                    if level.get(dst as usize) == -1 {
-                        level.set(dst as usize, d);
-                        true
-                    } else {
-                        false
-                    }
-                },
-                |dst| level.get(dst as usize) == -1,
-                true,
-                4, // broadcast payload: 4-byte level per activation
-            )?;
-        }
+        // The same BFS definition that runs on one engine: each EdgeMap is
+        // a concurrent superstep over the shards.
+        let parent = bfs(&cluster, 0, ExecMode::Binned)?;
+        let reached = (0..cluster.num_vertices())
+            .filter(|&v| parent.get(v) != -1)
+            .count();
+        assert_eq!(reached, expect.iter().filter(|&&l| l != -1).count());
         let stats = cluster.stats();
         let per_machine: Vec<u64> = stats.per_shard.iter().map(|s| s.io_bytes).collect();
         println!(
-            "{machines} machine(s): {} rounds, IO per machine {per_machine:?}, \
+            "{machines} machine(s): reached {reached}, {} rounds, IO per machine {per_machine:?}, \
              frontier deltas {} wire + {} value bytes in {} messages",
             stats.rounds, stats.exchange_bytes, stats.exchange_value_bytes, stats.exchange_messages
         );

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use blaze::algorithms::{self as algo, ExecMode};
-use blaze::engine::{BlazeEngine, EngineOptions};
+use blaze::engine::{BlazeEngine, EdgeMap, EngineOptions, GraphEngine};
 use blaze::frontier::VertexSubset;
 use blaze::graph::{gen, Csr, DiskGraph};
 use blaze::storage::{BlockDevice, FaultyDevice, MemDevice, StripedStorage};
@@ -52,7 +52,7 @@ fn edge_map_surfaces_io_errors() {
     let g = gen::rmat(&gen::RmatConfig::new(9));
     let engine = flaky_engine(&g, 0);
     let frontier = VertexSubset::full(g.num_vertices());
-    let result = engine.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false);
+    let result = engine.edge_map(&frontier, EdgeMap::new(|s, _d| s, |_d, _v| false, |_| true));
     match result {
         Err(BlazeError::Io(e)) => assert!(e.to_string().contains("injected"), "{e}"),
         other => panic!("expected injected IO error, got {other:?}"),
@@ -99,7 +99,7 @@ fn error_in_one_stripe_of_many_is_still_reported() {
     let graph = Arc::new(DiskGraph::open_with_index(&g, storage));
     let engine = BlazeEngine::new(graph, EngineOptions::default()).unwrap();
     let frontier = VertexSubset::full(g.num_vertices());
-    let result = engine.edge_map(&frontier, |s, _d| s, |_d, _v| false, |_| true, false);
+    let result = engine.edge_map(&frontier, EdgeMap::new(|s, _d| s, |_d, _v| false, |_| true));
     assert!(result.is_err());
 }
 
@@ -126,7 +126,10 @@ fn engine_recovers_after_transient_failures() {
     // repeat run on the same engine must succeed too (no poisoned state).
     for _ in 0..2 {
         let out = engine
-            .edge_map(&frontier, |s, _d| s, |_d, _v| true, |_| true, true)
+            .edge_map(
+                &frontier,
+                EdgeMap::new(|s, _d| s, |_d, _v| true, |_| true).with_output(),
+            )
             .unwrap();
         assert!(!out.is_empty());
     }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use blaze::binning::{BinRecord, BinSpace, BinningConfig, ScatterStaging};
-use blaze::engine::{BlazeEngine, EngineOptions, VertexArray};
+use blaze::engine::{BlazeEngine, EdgeMap, EngineOptions, GraphEngine, VertexArray};
 use blaze::frontier::{PageSubset, VertexSubset};
 use blaze::graph::{Csr, DiskGraph, GraphBuilder, GraphIndex, PageVertexMap};
 use blaze::storage::request::{merge_pages_with_window, IoRequest};
@@ -188,16 +188,10 @@ proptest! {
         let frontier = VertexSubset::from_members(n, members.iter().copied());
 
         let hits = VertexArray::<u64>::new(n, 0);
-        engine.edge_map(
-            &frontier,
-            |s, _d| s,
-            |d, _v: u32| {
+        engine.edge_map(&frontier, EdgeMap::new(|s, _d| s, |d, _v: u32| {
                 hits.set(d as usize, hits.get(d as usize) + 1);
                 false
-            },
-            |_| true,
-            false,
-        ).unwrap();
+            }, |_| true)).unwrap();
 
         // Expected: in-degree restricted to frontier sources.
         let mut expect = vec![0u64; n];
